@@ -10,7 +10,6 @@ from .allocator import (
     DegenerateRatesError,
     SystemConfig,
     accessible_guard,
-    admit,
     compute_partition,
     equal_split_partition,
     reserved_shares,
@@ -18,22 +17,12 @@ from .allocator import (
 from .markov import (
     BlockingReport,
     SteadyState,
-    TranscriptionDiscrepancy,
     blocking_probabilities,
-    closed_form_blocking,
     erlang_b,
-    state_arrival_rate,
     steady_state,
 )
 from .simulate import SimMetrics, SimScenario, compare_policies, run_simulation
-from .traffic import (
-    ArrivalWindow,
-    ClassSpec,
-    RateEstimateUnavailable,
-    TrafficProfile,
-    generate_arrivals,
-    sample_holding_time,
-)
+from .traffic import ArrivalWindow, ClassSpec, RateEstimateUnavailable, TrafficProfile
 
 __all__ = [
     "ArrivalWindow",
@@ -47,20 +36,14 @@ __all__ = [
     "SteadyState",
     "SystemConfig",
     "TrafficProfile",
-    "TranscriptionDiscrepancy",
     "accessible_guard",
-    "admit",
     "blocking_probabilities",
-    "closed_form_blocking",
     "compare_policies",
     "compute_partition",
     "equal_split_partition",
     "erlang_b",
-    "generate_arrivals",
     "reserved_shares",
     "run_simulation",
-    "sample_holding_time",
-    "state_arrival_rate",
     "steady_state",
 ]
 

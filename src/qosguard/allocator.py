@@ -1,9 +1,10 @@
-"""Dynamic guard-channel partition and the admit/reject decision.
+"""Dynamic guard-channel partition.
 
 Out of N channels, Gamma are reserved dynamically: class m receives a share
 of the guard pool proportional to its arrival rate, and may access the
 floor of the suffix sum of shares from its own class down to the lowest
-priority. Class 1 can always reach all N channels.
+priority. Class 1 can always reach all N channels. A class-m call is
+admitted iff the occupancy is below its limit N_m.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class ChannelPartition:
     shares: tuple[float, ...]       # X_m, real guard-pool shares
     guard_access: tuple[int, ...]   # y_m, guard channels reachable by class m
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
-    rates_used: tuple[float, ...]   # the rate vector the partition came from
 
 
 def reserved_shares(rates, gamma: int) -> tuple[float, ...]:
@@ -81,24 +81,9 @@ def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     m_count = len(shares)
     guard_access = tuple(accessible_guard(shares, m) for m in range(1, m_count + 1))
     limits = tuple(config.n_channels - config.guard + y for y in guard_access)
-    return ChannelPartition(
-        shares=shares,
-        guard_access=guard_access,
-        limits=limits,
-        rates_used=tuple(float(r) for r in rates),
-    )
+    return ChannelPartition(shares=shares, guard_access=guard_access, limits=limits)
 
 
 def equal_split_partition(config: SystemConfig, num_classes: int) -> ChannelPartition:
     """Fallback partition for an all-zero rate vector: equal guard shares."""
     return compute_partition(config, (1.0,) * num_classes)
-
-
-def admit(occupied: int, class_index: int, partition: ChannelPartition) -> bool:
-    """True iff a class-``class_index`` call is accepted at the given occupancy."""
-    limits = partition.limits
-    if not 1 <= class_index <= len(limits):
-        raise ValueError(f"class index {class_index} out of range 1..{len(limits)}")
-    if occupied < 0 or occupied > limits[0]:
-        raise ValueError(f"occupied count {occupied} outside 0..{limits[0]}")
-    return occupied < limits[class_index - 1]

@@ -104,7 +104,7 @@ def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
     )
 
 
-def _scenario(spec: ExperimentSpec, rates, seed: int) -> SimScenario:
+def _scenario(spec: ExperimentSpec, rates, seed: int, record_events: bool = False) -> SimScenario:
     return SimScenario(
         config=spec.config,
         profile=TrafficProfile.from_rates(rates),
@@ -114,7 +114,7 @@ def _scenario(spec: ExperimentSpec, rates, seed: int) -> SimScenario:
         warmup=spec.warmup,
         bypass_estimator=spec.bypass_estimator,
         trace_stride=spec.trace_stride,
-        record_events=spec.events,
+        record_events=record_events,
     )
 
 
@@ -134,7 +134,7 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
     m_count = len(rates)
     blocking_rows, util_rows, partition_rows, event_rows = [], [], [], []
     for rep in range(spec.replications):
-        metrics = run_simulation(_scenario(spec, rates, spec.seed + rep))
+        metrics = run_simulation(_scenario(spec, rates, spec.seed + rep, spec.events))
         for cls, arr, blk, emp in _sim_rows(metrics, m_count):
             blocking_rows.append((rep, cls, arr, blk, emp))
         util_rows.append((rep, metrics.utilization, metrics.duration))
@@ -220,19 +220,9 @@ def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 def _mode_vlc_link(spec: ExperimentSpec, out: Path) -> None:
     p = spec.vlc
-    params = vlc.OpticalLinkParams(
-        half_power_angle=p.half_power_angle,
-        detector_area=p.detector_area,
-        distance=p.distance,
-        irradiance_angle=p.irradiance_angle,
-        incidence_angle=p.incidence_angle,
-        fov=p.fov,
-        filter_coeff=p.filter_coeff,
-        refractive_index=p.refractive_index,
-    )
     tau = vlc.lambertian_order(p.half_power_angle)
     g = vlc.concentrator_gain(p.incidence_angle, p.fov, p.refractive_index)
-    h = vlc.los_channel_gain(params)
+    h = vlc.los_channel_gain(p)
     pr = vlc.received_power(p.transmit_power, h)
     _write_csv(
         out / "link_budget.csv",

@@ -4,10 +4,12 @@ per concern, validated into an ExperimentSpec with field-path diagnostics."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .allocator import SystemConfig
+from .simulate import POLICY_DYNAMIC, POLICY_SHARING
 from .traffic import TrafficProfile
+from .vlc import OpticalLinkParams
 
 MODES = ("analyze", "simulate", "compare", "sweep", "vlc-link")
 
@@ -18,49 +20,14 @@ DEFAULT_GUARD = 10
 DEFAULT_HOLDING_TIME = 120.0
 DEFAULT_WINDOW = 100
 
-_KNOWN_KEYS = {
-    "system": {"channels", "guard", "mu", "holding_time", "window"},
-    "traffic": {"names", "rates", "ratio"},
-    "sweep": {"lambda_total", "lambda_1"},
-    "simulation": {
-        "arrivals",
-        "warmup",
-        "policy",
-        "bypass_estimator",
-        "replications",
-        "trace_stride",
-        "events",
-        "seed",
-    },
-    "vlc": {
-        "half_power_angle",
-        "detector_area",
-        "distance",
-        "irradiance_angle",
-        "incidence_angle",
-        "fov",
-        "filter_coeff",
-        "refractive_index",
-        "transmit_power",
-    },
-}
-
 
 class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
 
 
-@dataclass(frozen=True)
-class VlcLinkSpec:
-    half_power_angle: float = 60.0
-    detector_area: float = 1e-4
-    distance: float = 2.0
-    irradiance_angle: float = 0.0
-    incidence_angle: float = 0.0
-    fov: float = 60.0
-    filter_coeff: float = 1.0
-    refractive_index: float = 1.5
-    transmit_power: float = 1.0
+def _simulation_key(default):
+    """A spec field read from, and written back to, the [simulation] section."""
+    return field(default=default, metadata={"section": "simulation"})
 
 
 @dataclass(frozen=True)
@@ -70,15 +37,46 @@ class ExperimentSpec:
     ratio: tuple[float, ...] | None = None
     lambda_total_grid: tuple[float, ...] | None = None
     lambda_1_grid: tuple[float, ...] | None = None
-    arrivals: int = 1_000_000
-    warmup: float = 0.1
-    policy: str = "dynamic"
-    bypass_estimator: bool = False
-    replications: int = 1
-    trace_stride: int = 1000
-    events: bool = False
-    seed: int = 0
-    vlc: VlcLinkSpec = field(default_factory=VlcLinkSpec)
+    arrivals: int = _simulation_key(1_000_000)
+    warmup: float = _simulation_key(0.1)
+    policy: str = _simulation_key(POLICY_DYNAMIC)
+    bypass_estimator: bool = _simulation_key(False)
+    replications: int = _simulation_key(1)
+    trace_stride: int = _simulation_key(1000)
+    events: bool = _simulation_key(False)
+    seed: int = _simulation_key(0)
+    vlc: OpticalLinkParams = field(default_factory=OpticalLinkParams)
+
+    def __post_init__(self):
+        # runs again on every dataclasses.replace, so CLI overrides are checked too
+        errors = []
+        if self.arrivals < 1:
+            errors.append("[simulation] arrivals: must be >= 1")
+        if not 0 <= self.warmup < 1:
+            errors.append("[simulation] warmup: must be in [0, 1)")
+        if self.policy not in (POLICY_DYNAMIC, POLICY_SHARING):
+            errors.append(f"[simulation] policy: must be dynamic or sharing, got {self.policy!r}")
+        if self.replications < 1:
+            errors.append("[simulation] replications: must be >= 1")
+        if self.trace_stride < 1:
+            errors.append("[simulation] trace_stride: must be >= 1")
+        if self.seed < 0:
+            errors.append("[simulation] seed: must be >= 0")
+        if errors:
+            raise ConfigError("; ".join(errors))
+
+
+_SIMULATION_FIELDS = tuple(
+    f for f in fields(ExperimentSpec) if f.metadata.get("section") == "simulation"
+)
+
+_KNOWN_KEYS = {
+    "system": {"channels", "guard", "mu", "holding_time", "window"},
+    "traffic": {"names", "rates", "ratio"},
+    "sweep": {"lambda_total", "lambda_1"},
+    "simulation": {f.name for f in _SIMULATION_FIELDS},
+    "vlc": {f.name for f in fields(OpticalLinkParams)},
+}
 
 
 def _get(parser, section, key, conv, default, errors):
@@ -108,6 +106,10 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# a key's parser follows the type of its default
+_PARSERS = {bool: _bool, str: str.strip}
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate an experiment config; raises ConfigError on any issue."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -131,8 +133,11 @@ def parse_config(text: str) -> ExperimentSpec:
     mu = _get(parser, "system", "mu", float, None, errors)
     if mu is not None and holding is not None:
         errors.append("[system] mu and holding_time are mutually exclusive")
+    if holding is not None and not holding > 0:
+        errors.append("[system] holding_time: must be > 0")
+        holding = None
     if mu is None:
-        mu = 1.0 / (holding if holding else DEFAULT_HOLDING_TIME)
+        mu = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
     window = _get(parser, "system", "window", int, DEFAULT_WINDOW, errors)
 
     rates = _get(parser, "traffic", "rates", _float_list, None, errors)
@@ -154,36 +159,30 @@ def parse_config(text: str) -> ExperimentSpec:
         if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append(f"[sweep] {key}: grid must be strictly increasing")
 
-    arrivals = _get(parser, "simulation", "arrivals", int, 1_000_000, errors)
-    warmup = _get(parser, "simulation", "warmup", float, 0.1, errors)
-    policy = _get(parser, "simulation", "policy", str, "dynamic", errors).strip()
-    bypass = _get(parser, "simulation", "bypass_estimator", _bool, False, errors)
-    replications = _get(parser, "simulation", "replications", int, 1, errors)
-    trace_stride = _get(parser, "simulation", "trace_stride", int, 1000, errors)
-    events = _get(parser, "simulation", "events", _bool, False, errors)
-    seed = _get(parser, "simulation", "seed", int, 0, errors)
-
-    if policy not in ("dynamic", "sharing"):
-        errors.append(f"[simulation] policy: must be dynamic or sharing, got {policy!r}")
-    if replications < 1:
-        errors.append("[simulation] replications: must be >= 1")
-
-    vlc_kwargs = {}
-    for key in _KNOWN_KEYS["vlc"]:
-        val = _get(parser, "vlc", key, float, None, errors)
-        if val is not None:
-            vlc_kwargs[key] = val
+    simulation = {
+        f.name: _get(
+            parser, "simulation", f.name, _PARSERS.get(type(f.default), type(f.default)),
+            f.default, errors,
+        )
+        for f in _SIMULATION_FIELDS
+    }
 
     try:
         config = SystemConfig(n_channels=channels, guard=guard, mu=mu, window_n=window)
     except ValueError as exc:
         errors.append(f"[system] {exc}")
         config = None
+
+    vlc_values = {}
+    for f in fields(OpticalLinkParams):
+        val = _get(parser, "vlc", f.name, float, None, errors)
+        if val is not None:
+            vlc_values[f.name] = val
     try:
-        vlc = VlcLinkSpec(**vlc_kwargs)
-    except TypeError as exc:
+        vlc = OpticalLinkParams(**vlc_values)
+    except ValueError as exc:
         errors.append(f"[vlc] {exc}")
-        vlc = VlcLinkSpec()
+        vlc = OpticalLinkParams()
 
     profile = None
     if rates is not None:
@@ -192,52 +191,49 @@ def parse_config(text: str) -> ExperimentSpec:
         except ValueError as exc:
             errors.append(f"[traffic] {exc}")
 
+    try:
+        spec = ExperimentSpec(
+            config=config,
+            profile=profile,
+            ratio=ratio,
+            lambda_total_grid=lambda_total_grid,
+            lambda_1_grid=lambda_1_grid,
+            vlc=vlc,
+            **simulation,
+        )
+    except ConfigError as exc:
+        errors.append(str(exc))
     if errors:
         raise ConfigError("; ".join(errors))
-    return ExperimentSpec(
-        config=config,
-        profile=profile,
-        ratio=ratio,
-        lambda_total_grid=lambda_total_grid,
-        lambda_1_grid=lambda_1_grid,
-        arrivals=arrivals,
-        warmup=warmup,
-        policy=policy,
-        bypass_estimator=bypass,
-        replications=replications,
-        trace_stride=trace_stride,
-        events=events,
-        seed=seed,
-        vlc=vlc,
-    )
+    return spec
+
+
+def _manifest_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    if isinstance(value, str):
+        return value
+    return repr(value)
 
 
 def render_manifest(spec: ExperimentSpec, mode: str) -> str:
     """Full resolved spec as sorted key=value lines; rerunning from these
     values reproduces every output byte."""
-    lines = {
+    values = {
         "mode": mode,
         "system.channels": spec.config.n_channels,
         "system.guard": spec.config.guard,
-        "system.mu": repr(spec.config.mu),
+        "system.mu": spec.config.mu,
         "system.window": spec.config.window_n,
-        "traffic.rates": ",".join(repr(r) for r in spec.profile.rates) if spec.profile else "",
-        "traffic.ratio": ",".join(repr(r) for r in spec.ratio) if spec.ratio else "",
-        "sweep.lambda_total": ",".join(repr(x) for x in spec.lambda_total_grid)
-        if spec.lambda_total_grid
-        else "",
-        "sweep.lambda_1": ",".join(repr(x) for x in spec.lambda_1_grid)
-        if spec.lambda_1_grid
-        else "",
-        "simulation.arrivals": spec.arrivals,
-        "simulation.warmup": repr(spec.warmup),
-        "simulation.policy": spec.policy,
-        "simulation.bypass_estimator": spec.bypass_estimator,
-        "simulation.replications": spec.replications,
-        "simulation.trace_stride": spec.trace_stride,
-        "simulation.events": spec.events,
-        "simulation.seed": spec.seed,
+        "traffic.rates": spec.profile.rates if spec.profile else None,
+        "traffic.ratio": spec.ratio,
+        "sweep.lambda_total": spec.lambda_total_grid,
+        "sweep.lambda_1": spec.lambda_1_grid,
     }
-    for key in sorted(vars(spec.vlc)):
-        lines[f"vlc.{key}"] = repr(getattr(spec.vlc, key))
-    return "".join(f"{k}={lines[k]}\n" for k in sorted(lines))
+    for f in _SIMULATION_FIELDS:
+        values[f"simulation.{f.name}"] = getattr(spec, f.name)
+    for f in fields(spec.vlc):
+        values[f"vlc.{f.name}"] = getattr(spec.vlc, f.name)
+    return "".join(f"{k}={_manifest_value(values[k])}\n" for k in sorted(values))

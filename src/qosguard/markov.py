@@ -2,33 +2,16 @@
 
 Occupancy 0..N is a birth-death chain: the birth rate at state i is the sum
 of the rates of classes that still fit (N_m > i), the death rate is i*mu.
-The canonical solver is the product-form recurrence with running
-renormalization; the closed-form transcription is kept as a cross-check and
-raises if it disagrees with the recurrence.
+The product form is evaluated as a cumulative sum in the log domain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocator import ChannelPartition, SystemConfig
-
-_RENORM_THRESHOLD = 1e150
-
-
-class TranscriptionDiscrepancy(Exception):
-    """Closed-form blocking disagrees with the recurrence solution."""
-
-    def __init__(self, closed_form, recurrence):
-        self.closed_form = tuple(closed_form)
-        self.recurrence = tuple(recurrence)
-        super().__init__(
-            f"closed-form blocking {self.closed_form} disagrees with "
-            f"recurrence {self.recurrence}"
-        )
 
 
 @dataclass(frozen=True)
@@ -46,37 +29,24 @@ class BlockingReport:
     offered_load: float             # total rate / mu, in Erlangs
 
 
-def state_arrival_rate(i: int, limits, rates) -> float:
-    """Total admissible arrival rate at occupancy i (birth rate of state i)."""
-    limits = tuple(limits)
-    rates = tuple(rates)
-    n = limits[0]
-    if i < 0 or i >= n:
-        raise ValueError(f"occupancy {i} outside 0..{n - 1}")
-    return sum(lam for lam, n_m in zip(rates, limits) if n_m > i)
-
-
 def steady_state(config: SystemConfig, partition: ChannelPartition, rates) -> SteadyState:
-    """Steady-state occupancy distribution by forward recurrence.
+    """Steady-state occupancy distribution of the birth-death chain.
 
-    P_i = P_{i-1} * birth(i-1) / (i*mu), renormalized to sum 1. Weights are
-    rescaled on the fly so N up to ~1000 cannot overflow.
+    log P_i = sum over k < i of log birth(k) - log((k+1)*mu), up to a
+    constant. The weights are shifted by their maximum before exp, so no N
+    or load overflows, and a zero birth rate gives exact zeros above it.
     """
     rates = tuple(float(r) for r in rates)
     limits = partition.limits
     n = config.n_channels
     mu = config.mu
-    weights = [1.0]
-    w = 1.0
-    for i in range(1, n + 1):
-        birth = sum(lam for lam, n_m in zip(rates, limits) if n_m > i - 1)
-        w = w * birth / (i * mu)
-        if w > _RENORM_THRESHOLD:
-            scale = 1.0 / w
-            weights = [x * scale for x in weights]
-            w = 1.0
-        weights.append(w)
-    probs = np.array(weights)
+    # rate_m lands at index N_m; birth(i) is the sum over N_m > i
+    at_limit = np.bincount(limits, weights=rates, minlength=n + 1)
+    birth = np.cumsum(at_limit[::-1])[::-1][1:]
+    with np.errstate(divide="ignore"):
+        steps = np.log(birth) - np.log(np.arange(1, n + 1) * mu)
+    logw = np.concatenate(([0.0], np.cumsum(steps)))
+    probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     return SteadyState(probs=probs, limits=limits, rates=rates, mu=mu)
 
@@ -108,80 +78,3 @@ def erlang_b(servers: int, offered: float) -> float:
     for k in range(1, servers + 1):
         b = offered * b / (k + offered * b)
     return b
-
-
-def _xlogy(x: float, y: float) -> float:
-    # 0 * log(0) == 0 by convention; positive exponent on a zero base kills the term
-    if x == 0:
-        return 0.0
-    if y == 0:
-        return -math.inf
-    return x * math.log(y)
-
-
-def _closed_form_log_weights(config: SystemConfig, partition: ChannelPartition, rates):
-    """Log unnormalized P_i per the printed closed forms, in log domain.
-
-    For i <= N_M the weight is (total/mu)^i / i!. For N_j < i <= N_{j-1} it is
-    total^{N_M} * prefix_{j-1}^{i-N_j} * prod_{k=j}^{M-1} prefix_k^{N_k-N_{k+1}}
-    over mu^i * i!, where prefix_k is the rate sum of classes 1..k.
-    """
-    rates = tuple(float(r) for r in rates)
-    limits = partition.limits
-    n = config.n_channels
-    mu = config.mu
-    m_count = len(rates)
-    total = sum(rates)
-    prefix = [sum(rates[:k]) for k in range(m_count + 1)]  # prefix[k] = rates of 1..k
-    log_mu = math.log(mu)
-    n_last = limits[-1]
-
-    logw = np.full(n + 1, -math.inf)
-    logw[0] = 0.0
-    for i in range(1, n_last + 1):
-        logw[i] = _xlogy(i, total) - i * log_mu - math.lgamma(i + 1)
-    for j in range(m_count, 1, -1):
-        lo, hi = limits[j - 1], limits[j - 2]  # N_j, N_{j-1}
-        tail = sum(
-            _xlogy(limits[k - 1] - limits[k], prefix[k]) for k in range(j, m_count)
-        )
-        for i in range(lo + 1, hi + 1):
-            logw[i] = (
-                _xlogy(n_last, total)
-                + _xlogy(i - lo, prefix[j - 1])
-                + tail
-                - i * log_mu
-                - math.lgamma(i + 1)
-            )
-    return logw
-
-
-def closed_form_blocking(
-    config: SystemConfig, partition: ChannelPartition, rates, tol: float = 1e-9
-) -> BlockingReport:
-    """Blocking from the literal closed forms, cross-checked against the recurrence.
-
-    Raises TranscriptionDiscrepancy if any B_m differs from the recurrence
-    result by more than ``tol``.
-    """
-    rates = tuple(float(r) for r in rates)
-    if sum(rates) == 0:
-        probs = np.zeros(config.n_channels + 1)
-        probs[0] = 1.0
-    else:
-        logw = _closed_form_log_weights(config, partition, rates)
-        logw -= logw.max()
-        probs = np.exp(logw)
-        probs /= probs.sum()
-    n = config.n_channels
-    per_class = tuple(float(probs[n_m:].sum()) for n_m in partition.limits)
-    utilization = float(np.arange(n + 1) @ probs) / n
-
-    reference = blocking_probabilities(steady_state(config, partition, rates), partition)
-    if any(abs(a - b) > tol for a, b in zip(per_class, reference.per_class)):
-        raise TranscriptionDiscrepancy(per_class, reference.per_class)
-    return BlockingReport(
-        per_class=per_class,
-        utilization=utilization,
-        offered_load=sum(rates) / config.mu,
-    )

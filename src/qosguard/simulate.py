@@ -89,7 +89,8 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     true_rates = profile.rates
     n = config.n_channels
     mean_hold = 1.0 / config.mu
-    dynamic = scenario.policy == POLICY_DYNAMIC
+    # only a dynamic run that is not bypassed reads the window estimates
+    estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator
 
     seeds = np.random.SeedSequence(scenario.seed).spawn(2 * m_count)
     arrival_streams = [
@@ -99,11 +100,14 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     holding_streams = [_ExpStream(seeds[m_count + m], mean_hold) for m in range(m_count)]
     windows = [ArrivalWindow(m + 1, config.window_n) for m in range(m_count)]
 
-    sharing_limits = (n,) * m_count
-    base_partition = compute_partition(config, true_rates) if sum(true_rates) > 0 else None
-    cached_rates: tuple | None = None
-    cached_limits = sharing_limits
-    cached_access = (config.guard,) * m_count
+    # the configured rates stand in until every window holds a gap
+    cold_rates = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
+    if scenario.policy == POLICY_DYNAMIC:
+        base_partition = compute_partition(config, cold_rates)
+        limits, access = base_partition.limits, base_partition.guard_access
+    else:
+        limits, access = (n,) * m_count, (config.guard,) * m_count
+    rates_vec = None
 
     # heap entries: (time, kind_rank, class_index, seq, ...)
     heap: list = []
@@ -150,30 +154,14 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
         # policy runs see identical sample paths
         hold = holding_streams[m].next()
 
-        window = windows[m]
-        window.record_arrival(t)
-
-        if dynamic:
-            if scenario.bypass_estimator:
-                limits = base_partition.limits
-                access = base_partition.guard_access
-                rates_vec = None
+        if estimating:
+            windows[m].record_arrival(t)
+            if all(w.has_estimate for w in windows):
+                rates_vec = tuple(w.estimate_rate() for w in windows)
             else:
-                if all(w.has_estimate for w in windows):
-                    rates_vec = tuple(w.estimate_rate() for w in windows)
-                else:
-                    rates_vec = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
-                if rates_vec != cached_rates:
-                    part = compute_partition(config, rates_vec)
-                    cached_rates = rates_vec
-                    cached_limits = part.limits
-                    cached_access = part.guard_access
-                limits = cached_limits
-                access = cached_access
-        else:
-            limits = sharing_limits
-            access = (config.guard,) * m_count
-            rates_vec = None
+                rates_vec = cold_rates
+            part = compute_partition(config, rates_vec)
+            limits, access = part.limits, part.guard_access
 
         accepted = occupied < limits[m]
         if accepted:

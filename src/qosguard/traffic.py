@@ -1,12 +1,10 @@
-"""Traffic classes, Poisson arrival generation, and sliding-window arrival-rate estimation."""
+"""Traffic classes and sliding-window arrival-rate estimation."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class RateEstimateUnavailable(Exception):
@@ -115,31 +113,3 @@ class ArrivalWindow:
     @property
     def has_estimate(self) -> bool:
         return bool(self.gaps)
-
-
-def generate_arrivals(rate: float, horizon: float, seed) -> np.ndarray:
-    """Poisson arrival timestamps on (0, horizon], exponential gaps, seeded.
-
-    ``seed`` may be anything accepted by numpy's default_rng. Rate 0 yields an
-    empty stream.
-    """
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if rate == 0:
-        return np.empty(0)
-    rng = np.random.default_rng(seed)
-    chunk = max(int(rate * horizon * 1.1) + 64, 64)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=chunk))
-    while times[-1] < horizon:
-        more = np.cumsum(rng.exponential(1.0 / rate, size=chunk)) + times[-1]
-        times = np.concatenate([times, more])
-    return times[times <= horizon]
-
-
-def sample_holding_time(mu: float, rng: np.random.Generator) -> float:
-    """One exponential channel-holding time with mean 1/mu seconds."""
-    if mu <= 0:
-        raise ValueError(f"service rate mu must be > 0, got {mu}")
-    return rng.exponential(1.0 / mu)

@@ -27,28 +27,34 @@ NUM_BANDS = 7
 
 @dataclass(frozen=True)
 class OpticalLinkParams:
-    half_power_angle: float   # transmitter half-power angle, degrees
-    detector_area: float      # photo-detector area, m^2
-    distance: float           # transmitter-receiver distance, m
-    irradiance_angle: float   # degrees
-    incidence_angle: float    # degrees
-    fov: float                # receiver field of view, degrees
+    """One line-of-sight link; the field names are the keys of the [vlc]
+    config section, and the defaults are the worked 2 m link."""
+
+    half_power_angle: float = 60.0   # transmitter half-power angle, degrees
+    detector_area: float = 1e-4      # photo-detector area, m^2
+    distance: float = 2.0            # transmitter-receiver distance, m
+    irradiance_angle: float = 0.0    # degrees
+    incidence_angle: float = 0.0     # degrees
+    fov: float = 60.0                # receiver field of view, degrees
     filter_coeff: float = 1.0
     refractive_index: float = 1.5
+    transmit_power: float = 1.0      # transmitted optical power
 
     def __post_init__(self):
         if not 0 < self.half_power_angle < 90:
-            raise ValueError(f"half-power angle must be in (0, 90), got {self.half_power_angle}")
+            raise ValueError(f"half_power_angle must be in (0, 90), got {self.half_power_angle}")
         if self.distance <= 0:
             raise ValueError(f"distance must be > 0, got {self.distance}")
         if self.detector_area <= 0:
-            raise ValueError(f"detector area must be > 0, got {self.detector_area}")
+            raise ValueError(f"detector_area must be > 0, got {self.detector_area}")
         if not 0 <= self.fov <= 90:
-            raise ValueError(f"FOV must be in [0, 90], got {self.fov}")
+            raise ValueError(f"fov must be in [0, 90], got {self.fov}")
         if not 0 <= self.filter_coeff <= 1:
-            raise ValueError(f"filter coefficient must be in [0, 1], got {self.filter_coeff}")
+            raise ValueError(f"filter_coeff must be in [0, 1], got {self.filter_coeff}")
         if self.refractive_index < 1:
-            raise ValueError(f"refractive index must be >= 1, got {self.refractive_index}")
+            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
+        if self.transmit_power < 0:
+            raise ValueError(f"transmit_power must be >= 0, got {self.transmit_power}")
 
 
 def lambertian_order(half_power_angle: float) -> float:

@@ -1,8 +1,9 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the code paths they check: the chain oracle is a
-dense linear solve of the balance equations, and the partition oracle uses
-exact rational arithmetic.
+dense linear solve of the balance equations, the closed-form oracle
+evaluates the printed product forms term by term, and the partition oracle
+uses exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +12,20 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from qosguard.markov import BlockingReport, blocking_probabilities, steady_state
+
+
+class TranscriptionDiscrepancy(Exception):
+    """Closed-form blocking disagrees with the steady-state solver."""
+
+    def __init__(self, closed_form, solver):
+        self.closed_form = tuple(closed_form)
+        self.solver = tuple(solver)
+        super().__init__(
+            f"closed-form blocking {self.closed_form} disagrees with "
+            f"steady_state {self.solver}"
+        )
 
 
 def dense_steady_state(n: int, mu: float, birth_rate) -> np.ndarray:
@@ -57,3 +72,78 @@ def erlang_b_direct(servers: int, offered: float) -> float:
     top = max(logs)
     weights = [math.exp(l - top) for l in logs]
     return weights[-1] / sum(weights)
+
+
+def _xlogy(x: float, y: float) -> float:
+    # 0 * log(0) == 0 by convention; positive exponent on a zero base kills the term
+    if x == 0:
+        return 0.0
+    if y == 0:
+        return -math.inf
+    return x * math.log(y)
+
+
+def _closed_form_log_weights(config, partition, rates):
+    """Log unnormalized P_i per the printed closed forms, in log domain.
+
+    For i <= N_M the weight is (total/mu)^i / i!. For N_j < i <= N_{j-1} it is
+    total^{N_M} * prefix_{j-1}^{i-N_j} * prod_{k=j}^{M-1} prefix_k^{N_k-N_{k+1}}
+    over mu^i * i!, where prefix_k is the rate sum of classes 1..k.
+    """
+    rates = tuple(float(r) for r in rates)
+    limits = partition.limits
+    n = config.n_channels
+    mu = config.mu
+    m_count = len(rates)
+    total = sum(rates)
+    prefix = [sum(rates[:k]) for k in range(m_count + 1)]  # prefix[k] = rates of 1..k
+    log_mu = math.log(mu)
+    n_last = limits[-1]
+
+    logw = np.full(n + 1, -math.inf)
+    logw[0] = 0.0
+    for i in range(1, n_last + 1):
+        logw[i] = _xlogy(i, total) - i * log_mu - math.lgamma(i + 1)
+    for j in range(m_count, 1, -1):
+        lo, hi = limits[j - 1], limits[j - 2]  # N_j, N_{j-1}
+        tail = sum(
+            _xlogy(limits[k - 1] - limits[k], prefix[k]) for k in range(j, m_count)
+        )
+        for i in range(lo + 1, hi + 1):
+            logw[i] = (
+                _xlogy(n_last, total)
+                + _xlogy(i - lo, prefix[j - 1])
+                + tail
+                - i * log_mu
+                - math.lgamma(i + 1)
+            )
+    return logw
+
+
+def closed_form_blocking(config, partition, rates, tol: float = 1e-9) -> BlockingReport:
+    """Blocking from the literal closed forms, cross-checked against steady_state.
+
+    Raises TranscriptionDiscrepancy if any B_m differs from the solver's
+    result by more than ``tol``.
+    """
+    rates = tuple(float(r) for r in rates)
+    if sum(rates) == 0:
+        probs = np.zeros(config.n_channels + 1)
+        probs[0] = 1.0
+    else:
+        logw = _closed_form_log_weights(config, partition, rates)
+        logw -= logw.max()
+        probs = np.exp(logw)
+        probs /= probs.sum()
+    n = config.n_channels
+    per_class = tuple(float(probs[n_m:].sum()) for n_m in partition.limits)
+    utilization = float(np.arange(n + 1) @ probs) / n
+
+    reference = blocking_probabilities(steady_state(config, partition, rates), partition)
+    if any(abs(a - b) > tol for a, b in zip(per_class, reference.per_class)):
+        raise TranscriptionDiscrepancy(per_class, reference.per_class)
+    return BlockingReport(
+        per_class=per_class,
+        utilization=utilization,
+        offered_load=sum(rates) / config.mu,
+    )

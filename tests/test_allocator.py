@@ -6,7 +6,6 @@ from qosguard.allocator import (
     DegenerateRatesError,
     SystemConfig,
     accessible_guard,
-    admit,
     compute_partition,
     equal_split_partition,
     reserved_shares,
@@ -91,13 +90,20 @@ class TestComputePartition:
 
     @given(rates=rate_vectors)
     def test_partition_invariants(self, rates):
+        # a class-m call is admitted iff occupancy < N_m, so these limits
+        # also state the admission rule's properties
         p = compute_partition(CFG, rates)
         assert sum(p.shares) == pytest.approx(CFG.guard)
         assert p.guard_access[0] == CFG.guard
         assert all(a >= b for a, b in zip(p.guard_access, p.guard_access[1:]))
+        assert len(p.limits) == len(rates)
+        assert p.limits == tuple(CFG.n_channels - CFG.guard + y for y in p.guard_access)
+        # class 1 is blocked only when all N channels are busy
         assert p.limits[0] == CFG.n_channels
+        # a lower-priority class admitted means every higher one is too
         assert all(a >= b for a, b in zip(p.limits, p.limits[1:]))
-        assert p.limits[-1] >= CFG.n_channels - CFG.guard
+        # an empty system admits every class
+        assert p.limits[-1] >= CFG.n_channels - CFG.guard >= 1
 
     def test_class1_exclusive_guard_grows_with_class1_mass(self):
         # shifting rate mass toward class 1 never shrinks its exclusive band
@@ -110,27 +116,26 @@ class TestComputePartition:
 
 
 class TestAdmit:
+    # the simulator admits a class-m call iff occupancy < N_m
     PART = compute_partition(CFG, (0.3, 0.4, 0.2, 0.1))
+
+    @staticmethod
+    def admitted(occupied, m, partition):
+        return occupied < partition.limits[m - 1]
 
     def test_empty_system_accepts_all(self):
         for m in (1, 2, 3, 4):
-            assert admit(0, m, self.PART)
+            assert self.admitted(0, m, self.PART)
 
     def test_class4_boundary(self):
-        assert not admit(91, 4, self.PART)
-        assert admit(90, 4, self.PART)
-
-    def test_occupied_beyond_n_rejected(self):
-        with pytest.raises(ValueError):
-            admit(101, 1, self.PART)
-        with pytest.raises(ValueError):
-            admit(-1, 1, self.PART)
+        assert not self.admitted(91, 4, self.PART)
+        assert self.admitted(90, 4, self.PART)
 
     @given(rates=rate_vectors, occupied=st.integers(min_value=0, max_value=100))
     def test_priority_dominance(self, rates, occupied):
         p = compute_partition(CFG, rates)
         m_count = len(rates)
-        decisions = [admit(occupied, m, p) for m in range(1, m_count + 1)]
+        decisions = [self.admitted(occupied, m, p) for m in range(1, m_count + 1)]
         # if a lower-priority class gets in, every higher-priority class does too
         for lower in range(m_count):
             if decisions[lower]:
@@ -139,8 +144,8 @@ class TestAdmit:
     @given(rates=rate_vectors)
     def test_class1_blocked_only_when_full(self, rates):
         p = compute_partition(CFG, rates)
-        assert admit(CFG.n_channels - 1, 1, p)
-        assert not admit(CFG.n_channels, 1, p)
+        assert self.admitted(CFG.n_channels - 1, 1, p)
+        assert not self.admitted(CFG.n_channels, 1, p)
 
 
 class TestSystemConfig:

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from qosguard import cli
 from qosguard.cli import main
 from qosguard.config import ConfigError, parse_config
 
@@ -27,6 +28,32 @@ arrivals = 20000
 seed = 3
 events = true
 """
+
+
+# one bad value per validated field: (mode, config lines, CLI arguments,
+# the field path expected on stderr); every config also has [traffic] rates
+BAD_FIELDS = [
+    ("analyze", "[system]\nholding_time = 0", [], "[system] holding_time"),
+    ("analyze", "[system]\nmu = 0", [], "[system] mu"),
+    ("simulate", "[simulation]\narrivals = 0", [], "[simulation] arrivals"),
+    ("simulate", "[simulation]\nwarmup = 1.0", [], "[simulation] warmup"),
+    ("simulate", "[simulation]\npolicy = greedy", [], "[simulation] policy"),
+    ("simulate", "[simulation]\nreplications = 0", [], "[simulation] replications"),
+    ("simulate", "[simulation]\ntrace_stride = 0", [], "[simulation] trace_stride"),
+    ("simulate", "[simulation]\nseed = -1", [], "[simulation] seed"),
+    ("simulate", "", ["--arrivals", "0"], "[simulation] arrivals"),
+    ("simulate", "", ["--arrivals", "-5"], "[simulation] arrivals"),
+    ("simulate", "", ["--seed", "-1"], "[simulation] seed"),
+    ("simulate", "", ["--seed", "x"], "--seed"),
+    ("simulate", "", ["--policy", "greedy"], "--policy"),
+    ("vlc-link", "[vlc]\nhalf_power_angle = 95", [], "[vlc] half_power_angle"),
+    ("vlc-link", "[vlc]\ndetector_area = 0", [], "[vlc] detector_area"),
+    ("vlc-link", "[vlc]\ndistance = -2", [], "[vlc] distance"),
+    ("vlc-link", "[vlc]\nfov = 91", [], "[vlc] fov"),
+    ("vlc-link", "[vlc]\nfilter_coeff = 1.5", [], "[vlc] filter_coeff"),
+    ("vlc-link", "[vlc]\nrefractive_index = 0.9", [], "[vlc] refractive_index"),
+    ("vlc-link", "[vlc]\ntransmit_power = -1", [], "[vlc] transmit_power"),
+]
 
 
 def read_csv(path):
@@ -149,6 +176,41 @@ class TestCliModes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[system]\nchannels = -3\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "mode,lines,args,path",
+        BAD_FIELDS,
+        ids=[" ".join(args) or lines.split("\n")[-1] for _, lines, args, _ in BAD_FIELDS],
+    )
+    def test_bad_field_exits_2_with_path(self, tmp_path, capsys, mode, lines, args, path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[traffic]\nrates = 0.3, 0.3\n{lines}\n")
+        argv = [mode, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag before main returns
+            code = exc.code
+        assert code == 2
+        assert path in capsys.readouterr().err
+
+    def test_compare_records_no_events(self, tmp_path, monkeypatch):
+        results = []
+        compare_policies = cli.compare_policies
+
+        def spy(scenario):
+            results.extend(compare_policies(scenario))
+            return results[-2:]
+
+        monkeypatch.setattr(cli, "compare_policies", spy)
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(
+            "[traffic]\nrates = 0.3,0.3\n[simulation]\narrivals = 2000\nevents = true\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "events.csv").exists()
+        assert len(results) == 2
+        assert all(metrics.events is None for metrics in results)
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.ini")]) == 2

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from qosguard.allocator import SystemConfig, compute_partition
-from qosguard.markov import (
-    blocking_probabilities,
-    closed_form_blocking,
-    erlang_b,
-    state_arrival_rate,
-    steady_state,
-)
+from qosguard.markov import blocking_probabilities, erlang_b, steady_state
 
-from oracles import dense_steady_state, erlang_b_direct, guard_birth_rate
+from oracles import closed_form_blocking, dense_steady_state, erlang_b_direct, guard_birth_rate
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 100)
 SMALL_PART = compute_partition(SMALL_CFG, (1.0, 1.0))
@@ -20,20 +14,8 @@ def _cfg(n, gamma, mu=1.0):
     return SystemConfig(n, gamma, mu, 100)
 
 
-class TestStateArrivalRate:
-    def test_empty_system_sees_all_classes(self):
-        assert state_arrival_rate(0, (3, 2), (1.0, 1.0)) == 2.0
-
-    def test_low_class_cut_off(self):
-        assert state_arrival_rate(2, (3, 2), (1.0, 1.0)) == 1.0
-
-    def test_top_state_only_class1(self):
-        p = compute_partition(_cfg(100, 10), (0.3, 0.4, 0.2, 0.1))
-        assert state_arrival_rate(99, p.limits, (0.3, 0.4, 0.2, 0.1)) == pytest.approx(0.3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_arrival_rate(3, (3, 2), (1.0, 1.0))
+def _ratio_rates(ratio, lam_t):
+    return tuple(lam_t * r / sum(ratio) for r in ratio)
 
 
 class TestSteadyState:
@@ -80,6 +62,35 @@ class TestSteadyState:
         ss = steady_state(cfg, p, rates)
         oracle = dense_steady_state(n, cfg.mu, guard_birth_rate(p.limits, rates))
         np.testing.assert_allclose(ss.probs, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("ratio", [(1, 1, 1, 1), (3, 4, 2, 1)])
+    @pytest.mark.parametrize("load", [0.5, 1.0, 1.5])
+    def test_matches_dense_solve_at_scale(self, n, ratio, load):
+        # load is the offered traffic as a share of N, Gamma is N/10
+        cfg = _cfg(n, n // 10, 1 / 120)
+        rates = _ratio_rates(ratio, load * n * cfg.mu)
+        p = compute_partition(cfg, rates)
+        ss = steady_state(cfg, p, rates)
+        oracle = dense_steady_state(n, cfg.mu, guard_birth_rate(p.limits, rates))
+        assert np.max(np.abs(ss.probs - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("offered", [19000.0, 21000.0])
+    def test_no_guard_matches_erlang_b_at_20000_channels(self, offered):
+        cfg = _cfg(20000, 0)
+        rates = _ratio_rates((3, 4, 2, 1), offered)
+        p = compute_partition(cfg, rates)
+        ss = steady_state(cfg, p, rates)
+        assert float(ss.probs[-1]) == pytest.approx(erlang_b(20000, offered), rel=1e-9)
+
+    @pytest.mark.parametrize("offered", [1e-6, 1e300])
+    def test_extreme_loads_stay_normalised(self, offered):
+        cfg = _cfg(100, 10)
+        rates = _ratio_rates((3, 4, 2, 1), offered)
+        p = compute_partition(cfg, rates)
+        ss = steady_state(cfg, p, rates)
+        assert np.all(np.isfinite(ss.probs))
+        assert ss.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBlockingProbabilities:

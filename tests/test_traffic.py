@@ -10,8 +10,6 @@ from qosguard.traffic import (
     ClassSpec,
     RateEstimateUnavailable,
     TrafficProfile,
-    generate_arrivals,
-    sample_holding_time,
 )
 
 
@@ -110,59 +108,6 @@ class TestArrivalWindow:
         assert len(w.gaps) <= capacity
         expected = all_gaps[-capacity:]
         assert list(w.gaps) == pytest.approx(expected)
-
-
-class TestGenerateArrivals:
-    def test_zero_rate_empty(self):
-        assert len(generate_arrivals(0.0, 100.0, seed=1)) == 0
-
-    def test_count_concentration(self):
-        horizon = 1e5
-        times = generate_arrivals(1.0, horizon, seed=123)
-        assert abs(len(times) - horizon) < 3 * math.sqrt(horizon)
-
-    def test_seeded_determinism(self):
-        a = generate_arrivals(2.0, 500.0, seed=9)
-        b = generate_arrivals(2.0, 500.0, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_strictly_increasing_and_bounded(self):
-        times = generate_arrivals(5.0, 200.0, seed=4)
-        assert np.all(np.diff(times) > 0)
-        assert times[-1] <= 200.0
-        assert times[0] > 0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            generate_arrivals(-1.0, 10.0, seed=0)
-        with pytest.raises(ValueError):
-            generate_arrivals(1.0, -10.0, seed=0)
-
-
-class TestHoldingTime:
-    def test_mean_matches_paper_scale(self):
-        rng = np.random.default_rng(0)
-        mu = 1 / 120
-        samples = np.array([sample_holding_time(mu, rng) for _ in range(100_000)])
-        # CLT: sd of the mean is 120/sqrt(1e5) ~ 0.38 s
-        assert samples.mean() == pytest.approx(120.0, abs=1.5)
-        assert np.all(samples > 0)
-
-    def test_variance(self):
-        rng = np.random.default_rng(1)
-        samples = np.array([sample_holding_time(1.0, rng) for _ in range(300_000)])
-        assert samples.var() == pytest.approx(1.0, rel=0.02)
-
-    def test_reproducible(self):
-        a = sample_holding_time(0.5, np.random.default_rng(7))
-        b = sample_holding_time(0.5, np.random.default_rng(7))
-        assert a == b
-
-    def test_invalid_mu(self):
-        with pytest.raises(ValueError):
-            sample_holding_time(0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_holding_time(-1.0, np.random.default_rng(0))
 
 
 class TestProfile:
