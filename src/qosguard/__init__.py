@@ -9,9 +9,9 @@ from .allocator import (
     ChannelPartition,
     DegenerateRatesError,
     SystemConfig,
-    accessible_guard,
     compute_partition,
     equal_split_partition,
+    guard_floors,
     reserved_shares,
 )
 from .markov import (
@@ -36,12 +36,12 @@ __all__ = [
     "SteadyState",
     "SystemConfig",
     "TrafficProfile",
-    "accessible_guard",
     "blocking_probabilities",
     "compare_policies",
     "compute_partition",
     "equal_split_partition",
     "erlang_b",
+    "guard_floors",
     "reserved_shares",
     "run_simulation",
     "steady_state",

@@ -67,19 +67,24 @@ def reserved_shares(rates, gamma: int) -> tuple[float, ...]:
     return tuple(r / total * gamma for r in rates)
 
 
-def accessible_guard(shares, m: int) -> int:
-    """Guard channels class m may use: floor of the suffix sum X_m + ... + X_M."""
-    shares = tuple(shares)
-    if not 1 <= m <= len(shares):
-        raise ValueError(f"class index {m} out of range 1..{len(shares)}")
-    return math.floor(sum(shares[m - 1:]) + _FLOOR_SNAP)
+def guard_floors(rates, gamma: int) -> tuple[int, ...]:
+    """y_m = floor(X_m + ... + X_M) for every class m, where
+    X_m = rate_m / total * gamma.
+
+    Does no validation: the rates must be finite and non-negative with a
+    positive sum. ``compute_partition`` checks them first; the simulator's
+    window estimates satisfy this by construction.
+    """
+    total = sum(rates)
+    shares = [r / total * gamma for r in rates]
+    return tuple(math.floor(sum(shares[i:]) + _FLOOR_SNAP) for i in range(len(shares)))
 
 
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     """Full per-class partition (X_m, y_m, N_m) for the given rate vector."""
+    rates = tuple(float(r) for r in rates)
     shares = reserved_shares(rates, config.guard)
-    m_count = len(shares)
-    guard_access = tuple(accessible_guard(shares, m) for m in range(1, m_count + 1))
+    guard_access = guard_floors(rates, config.guard)
     limits = tuple(config.n_channels - config.guard + y for y in guard_access)
     return ChannelPartition(shares=shares, guard_access=guard_access, limits=limits)
 

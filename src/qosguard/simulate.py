@@ -1,10 +1,12 @@
 """Event-driven simulator of the closed admission loop.
 
-Per-class Poisson arrivals feed sliding-window rate estimators; every arrival
-recomputes the guard partition (dynamic policy) and is admitted iff the
-occupancy is below its class limit. Departures are exponential. Runs are
-deterministic for a fixed scenario, and both policies can be replayed on the
-identical random draws for paired comparison.
+Per-class Poisson arrivals feed sliding-window rate estimators. Under the
+dynamic policy an arrival refreshes only its own class's estimate, re-derives
+the guard floors y_m from the estimate vector, and rebuilds the class limits
+only when some y_m changed. A call is admitted iff the occupancy is below its
+class limit. Departures are exponential. Runs are deterministic for a fixed
+scenario, and both policies can be replayed on the identical random draws for
+paired comparison.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import SystemConfig, compute_partition
+from .allocator import SystemConfig, compute_partition, guard_floors
 from .traffic import ArrivalWindow, TrafficProfile
 
 POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
 
-_RNG_CHUNK = 8192
+_RNG_CHUNK = 512
 
 # event-kind ranks: at equal timestamps a departure frees its channel before
 # any arrival is tested, then arrivals go by class index
@@ -65,17 +67,19 @@ class SimMetrics:
 
 
 class _ExpStream:
-    """Buffered exponential draws from one dedicated generator."""
+    """Buffered exponential draws from one dedicated generator, handed out as
+    Python floats: scalar numpy arithmetic on every event time costs more than
+    the draws themselves. The chunk size does not change the values drawn."""
 
     def __init__(self, seed_seq: np.random.SeedSequence, mean: float):
         self.rng = np.random.default_rng(seed_seq)
         self.mean = mean
-        self._buf = np.empty(0)
+        self._buf: list[float] = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self.rng.exponential(self.mean, size=_RNG_CHUNK)
+            self._buf = self.rng.exponential(self.mean, size=_RNG_CHUNK).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
@@ -83,11 +87,20 @@ class _ExpStream:
 
 
 def run_simulation(scenario: SimScenario) -> SimMetrics:
+    """Simulate the closed admission loop for ``scenario``.
+
+    Under the dynamic policy the guard partition follows the window
+    estimates. Until the estimator is ready, the configured rates stand in.
+    It is ready once every class with a positive configured rate has an
+    inter-arrival gap in its window; a class configured at rate 0 never
+    arrives, so it counts as ready from the start with estimate 0.0.
+    """
     config = scenario.config
     profile = scenario.profile
     m_count = profile.num_classes
     true_rates = profile.rates
     n = config.n_channels
+    guard = config.guard
     mean_hold = 1.0 / config.mu
     # only a dynamic run that is not bypassed reads the window estimates
     estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator
@@ -100,26 +113,31 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     holding_streams = [_ExpStream(seeds[m_count + m], mean_hold) for m in range(m_count)]
     windows = [ArrivalWindow(m + 1, config.window_n) for m in range(m_count)]
 
-    # the configured rates stand in until every window holds a gap
+    # the configured rates stand in until the estimator is ready
     cold_rates = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
     if scenario.policy == POLICY_DYNAMIC:
         base_partition = compute_partition(config, cold_rates)
         limits, access = base_partition.limits, base_partition.guard_access
     else:
-        limits, access = (n,) * m_count, (config.guard,) * m_count
-    rates_vec = None
+        limits, access = (n,) * m_count, (guard,) * m_count
+    estimates = list(cold_rates)
+    # classes with a positive configured rate whose window holds no gap yet;
+    # a window never loses its gaps, so the set only shrinks
+    cold = {m for m in range(m_count) if true_rates[m] > 0}
 
     # heap entries: (time, kind_rank, class_index, seq, ...)
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
     seq = 0
     for m in range(m_count):
         stream = arrival_streams[m]
         if stream is not None:
-            heapq.heappush(heap, (stream.next(), _ARRIVAL, m + 1, seq))
+            push(heap, (stream.next(), _ARRIVAL, m + 1, seq))
             seq += 1
 
     total_target = scenario.arrivals
     warmup_count = int(scenario.warmup * total_target)
+    trace_stride = scenario.trace_stride
     arrivals_seen = 0
     occupied = 0
     arr_counts = [0] * m_count
@@ -134,7 +152,7 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     events: list | None = [] if scenario.record_events else None
 
     while heap and arrivals_seen < total_target:
-        t, kind, cls, _ = heapq.heappop(heap)
+        t, kind, cls, _ = pop(heap)
         if in_measurement:
             area += occupied * (t - last_t)
         last_t = t
@@ -148,25 +166,35 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
         m = cls - 1
         arrivals_seen += 1
         # schedule this class's next arrival
-        heapq.heappush(heap, (t + arrival_streams[m].next(), _ARRIVAL, cls, seq))
+        push(heap, (t + arrival_streams[m].next(), _ARRIVAL, cls, seq))
         seq += 1
         # holding time is drawn whether or not the call is admitted, so paired
         # policy runs see identical sample paths
         hold = holding_streams[m].next()
 
         if estimating:
-            windows[m].record_arrival(t)
-            if all(w.has_estimate for w in windows):
-                rates_vec = tuple(w.estimate_rate() for w in windows)
-            else:
-                rates_vec = cold_rates
-            part = compute_partition(config, rates_vec)
-            limits, access = part.limits, part.guard_access
+            # an estimate depends only on its own window, so only the
+            # arriving class's estimate can change
+            window = windows[m]
+            window.record_arrival(t)
+            if not cold:
+                estimates[m] = window.estimate_rate()
+            elif window.has_estimate:
+                cold.discard(m)
+                if not cold:
+                    estimates = [
+                        w.estimate_rate() if w.has_estimate else 0.0 for w in windows
+                    ]
+            if not cold:
+                y = guard_floors(estimates, guard)
+                if y != access:
+                    access = y
+                    limits = tuple(n - guard + v for v in y)
 
         accepted = occupied < limits[m]
         if accepted:
             occupied += 1
-            heapq.heappush(heap, (t + hold, _DEPARTURE, cls, seq))
+            push(heap, (t + hold, _DEPARTURE, cls, seq))
             seq += 1
 
         if arrivals_seen > warmup_count:
@@ -179,10 +207,10 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
             else:
                 block_counts[m] += 1
 
-        if arrivals_seen % scenario.trace_stride == 0:
-            partition_trace.append((t,) + tuple(access))
-            if rates_vec is not None:
-                estimator_trace.append((t,) + rates_vec)
+        if arrivals_seen % trace_stride == 0:
+            partition_trace.append((t, *access))
+            if estimating:
+                estimator_trace.append((t, *estimates))
         if events is not None:
             events.append((t, "arrival", cls, "accept" if accepted else "block", occupied))
 

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the chain oracle is a
 dense linear solve of the balance equations, the closed-form oracle
 evaluates the printed product forms term by term, and the partition oracle
-uses exact rational arithmetic.
+uses exact rational arithmetic. The guard-floor reference keeps the
+per-class arithmetic that the allocator's vector helper replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qosguard.allocator import _FLOOR_SNAP, reserved_shares
 from qosguard.markov import BlockingReport, blocking_probabilities, steady_state
 
 
@@ -63,6 +65,16 @@ def exact_partition(n: int, gamma: int, rates) -> tuple[list[int], list[int]]:
     y = [math.floor(sum(fr[m:]) / total * gamma) for m in range(len(fr))]
     limits = [n - gamma + ym for ym in y]
     return y, limits
+
+
+def guard_floors_reference(rates, gamma: int) -> tuple[int, ...]:
+    """y_m by the arithmetic of the former per-class ``accessible_guard``:
+    the validated shares of ``reserved_shares``, then for each class m on its
+    own, floor(X_m + ... + X_M) after the same snap."""
+    shares = reserved_shares(rates, gamma)
+    return tuple(
+        math.floor(sum(shares[m - 1:]) + _FLOOR_SNAP) for m in range(1, len(shares) + 1)
+    )
 
 
 def erlang_b_direct(servers: int, offered: float) -> float:

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import guard_floors_reference
 from qosguard.allocator import (
     DegenerateRatesError,
     SystemConfig,
-    accessible_guard,
     compute_partition,
     equal_split_partition,
+    guard_floors,
     reserved_shares,
 )
 
@@ -37,22 +38,38 @@ class TestReservedShares:
             reserved_shares((1.0, -0.1), 10)
 
 
-class TestAccessibleGuard:
+class TestGuardFloors:
     def test_suffix_floors(self):
-        x = (3, 4, 2, 1)
-        assert [accessible_guard(x, m) for m in (1, 2, 3, 4)] == [10, 7, 3, 1]
+        assert guard_floors((3, 4, 2, 1), 10) == (10, 7, 3, 1)
 
     def test_floor_applied(self):
-        assert accessible_guard((2.5, 2.5, 2.5, 2.5), 2) == 7
+        assert guard_floors((1.0, 1.0, 1.0, 1.0), 10)[1] == 7
 
     def test_single_class(self):
-        assert accessible_guard((10.0,), 1) == 10
+        assert guard_floors((1.0,), 10) == (10,)
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            accessible_guard((1.0, 2.0), 3)
-        with pytest.raises(ValueError):
-            accessible_guard((1.0, 2.0), 0)
+    def test_one_floor_per_class(self):
+        assert len(guard_floors((1.0, 2.0), 10)) == 2
+        assert len(guard_floors((1.0, 2.0, 0.0, 4.0), 10)) == 4
+
+    @given(rates=rate_vectors, gamma=st.integers(min_value=0, max_value=200))
+    def test_matches_reference(self, rates, gamma):
+        assert guard_floors(rates, gamma) == guard_floors_reference(rates, gamma)
+
+    # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
+    # integer sum(k[i:]), the case where floats land a few ulps low
+    @given(ks=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
+           .filter(lambda ks: sum(ks) > 0))
+    @example(ks=[7, 3])
+    @example(ks=[3, 1])          # fails without the snap
+    @example(ks=[1, 2, 3])       # fails without the snap
+    @example(ks=[3, 4, 2, 1])
+    def test_floor_boundaries(self, ks):
+        rates = [k / 10 for k in ks]
+        gamma = sum(ks)
+        exact = tuple(sum(ks[i:]) for i in range(len(ks)))
+        assert guard_floors(rates, gamma) == exact
+        assert guard_floors_reference(rates, gamma) == exact
 
 
 class TestComputePartition:

@@ -116,6 +116,52 @@ class TestRunSimulation:
             assert all(r > 0 for r in rec[1:])
 
 
+class TestDynamicFastPath:
+    # with trace_stride = 1 every arrival records the guard access the loop
+    # used and the estimate vector it came from; the full allocator must
+    # derive the same partition from that vector
+    @pytest.mark.parametrize(
+        "config,rates",
+        [
+            (SystemConfig(20, 4, 1.0, 30), [9.0, 12.0, 6.0, 3.0]),   # ratio 3:4:2:1
+            (SystemConfig(20, 10, 1.0, 5), [0.7, 0.3]),
+            (SystemConfig(20, 4, 1.0, 10), [2.0, 1.5, 0.0, 1.0]),
+        ],
+        ids=["3:4:2:1", "0.7:0.3-gamma10", "rate-0-class"],
+    )
+    def test_every_arrival_matches_compute_partition(self, config, rates):
+        metrics = run_simulation(
+            SimScenario(config=config, profile=TrafficProfile.from_rates(rates),
+                        arrivals=20_000, seed=2, trace_stride=1, record_events=True)
+        )
+        arrivals = [ev for ev in metrics.events if ev[1] == "arrival"]
+        assert len(metrics.partition_trace) == len(metrics.estimator_trace) == len(arrivals)
+        for access_row, est_row, (t, _, cls, decision, occ_after) in zip(
+            metrics.partition_trace, metrics.estimator_trace, arrivals
+        ):
+            assert access_row[0] == est_row[0] == t
+            part = compute_partition(config, est_row[1:])
+            assert access_row[1:] == part.guard_access
+            # the admission decision used the limits of that partition
+            occ_before = occ_after - 1 if decision == "accept" else occ_after
+            assert (decision == "accept") == (occ_before < part.limits[cls - 1])
+        # the estimates moved the partition, so the check saw real updates
+        assert len({row[1:] for row in metrics.partition_trace}) > 1
+
+    def test_rate_zero_class_leaves_the_cold_start(self):
+        # a class configured at rate 0 never gets a gap; it counts as ready
+        # with estimate 0.0, so the other classes' estimates take over
+        metrics = run_simulation(
+            SimScenario(config=SystemConfig(100, 10, 1 / 120, 100),
+                        profile=TrafficProfile.from_rates([0.5, 0.3, 0.0]),
+                        arrivals=20_000, seed=0)
+        )
+        rows = [rec[1:] for rec in metrics.estimator_trace]
+        assert len(rows) == 20
+        assert all(row[2] == 0.0 for row in rows)
+        assert all(row != (0.5, 0.3, 0.0) for row in rows)
+
+
 class TestComparePolicies:
     def test_no_guard_identical_decisions(self):
         cfg = SystemConfig(5, 0, 1.0, 50)
