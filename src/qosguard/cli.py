@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,21 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _event_sink(fh, rep: int):
+    """Write each event batch of replication ``rep`` to ``fh`` in one call.
+    The rows are the bytes ``_write_csv`` would give: ``.9g`` times, ``\r\n``
+    line ends and no quoting, since no field holds a comma or a quote."""
+    write = fh.write
+
+    def sink(batch) -> None:
+        write("".join([
+            f"{rep},{t:.9g},{kind},{cls},{decision},{occ}\r\n"
+            for t, kind, cls, decision, occ in batch
+        ]))
+
+    return sink
 
 
 def _rates_for_point(spec: ExperimentSpec, lambda_total: float) -> tuple[float, ...]:
@@ -132,16 +148,24 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
         raise ConfigError("[traffic] rates required for simulate mode")
     rates = spec.profile.rates
     m_count = len(rates)
-    blocking_rows, util_rows, partition_rows, event_rows = [], [], [], []
-    for rep in range(spec.replications):
-        metrics = run_simulation(_scenario(spec, rates, spec.seed + rep, spec.events))
-        for cls, arr, blk, emp in _sim_rows(metrics, m_count):
-            blocking_rows.append((rep, cls, arr, blk, emp))
-        util_rows.append((rep, metrics.utilization, metrics.duration))
-        for rec in metrics.partition_trace:
-            partition_rows.append((rep, *rec))
-        if metrics.events is not None:
-            event_rows.extend((rep, *ev) for ev in metrics.events)
+    blocking_rows, util_rows, partition_rows = [], [], []
+    # events go to disk batch by batch as each replication runs
+    events_file = (
+        (out / "events.csv").open("w", newline="") if spec.events else nullcontext()
+    )
+    with events_file as events_fh:
+        if events_fh is not None:
+            events_fh.write("replication,time,kind,class,decision,occupied_after\r\n")
+        for rep in range(spec.replications):
+            sink = _event_sink(events_fh, rep) if events_fh is not None else None
+            metrics = run_simulation(
+                _scenario(spec, rates, spec.seed + rep, spec.events), on_events=sink
+            )
+            for cls, arr, blk, emp in _sim_rows(metrics, m_count):
+                blocking_rows.append((rep, cls, arr, blk, emp))
+            util_rows.append((rep, metrics.utilization, metrics.duration))
+            for rec in metrics.partition_trace:
+                partition_rows.append((rep, *rec))
     _write_csv(
         out / "blocking.csv",
         ["replication", "class", "arrivals", "blocks", "empirical_blocking"],
@@ -153,12 +177,6 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
         ["replication", "time"] + [f"y_{m}" for m in range(1, m_count + 1)],
         partition_rows,
     )
-    if spec.events:
-        _write_csv(
-            out / "events.csv",
-            ["replication", "time", "kind", "class", "decision", "occupied_after"],
-            event_rows,
-        )
 
 
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:

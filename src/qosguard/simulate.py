@@ -7,11 +7,17 @@ only when some y_m changed. A call is admitted iff the occupancy is below its
 class limit. Departures are exponential. Runs are deterministic for a fixed
 scenario, and both policies can be replayed on the identical random draws for
 paired comparison.
+
+With ``record_events`` set, the loop hands its per-call event log out in
+batches of at least ``_EVENT_BATCH`` events, to a caller's ``on_events`` sink
+as the run goes or, without one, into ``SimMetrics.events``. A sink keeps the
+memory a run holds independent of its length.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +29,9 @@ POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
 
 _RNG_CHUNK = 512
+# events per batch handed to an on_events sink (a batch closes after the
+# arrival that fills it, so it may also hold a few departures beyond this)
+_EVENT_BATCH = 4096
 
 # event-kind ranks: at equal timestamps a departure frees its channel before
 # any arrival is tested, then arrivals go by class index
@@ -86,7 +95,9 @@ class _ExpStream:
         return v
 
 
-def run_simulation(scenario: SimScenario) -> SimMetrics:
+def run_simulation(
+    scenario: SimScenario, on_events: Callable[[list], None] | None = None
+) -> SimMetrics:
     """Simulate the closed admission loop for ``scenario``.
 
     Under the dynamic policy the guard partition follows the window
@@ -94,6 +105,14 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     It is ready once every class with a positive configured rate has an
     inter-arrival gap in its window; a class configured at rate 0 never
     arrives, so it counts as ready from the start with estimate 0.0.
+
+    When ``scenario.record_events`` is set, events (time, kind, class,
+    decision, occupied) are collected in batches. A batch is passed to
+    ``on_events`` once it holds ``_EVENT_BATCH`` events, checked after each
+    arrival, and the last partial batch is passed when the run ends; the
+    batches concatenate to the run's whole event log in order. With a sink,
+    ``SimMetrics.events`` is None and the loop keeps no batch it has passed
+    on. Without one, the batches collect into ``SimMetrics.events``.
     """
     config = scenario.config
     profile = scenario.profile
@@ -150,6 +169,10 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
     partition_trace: list = []
     estimator_trace: list = []
     events: list | None = [] if scenario.record_events else None
+    held: list | None = None
+    if events is not None and on_events is None:
+        held = []
+        on_events = held.extend
 
     while heap and arrivals_seen < total_target:
         t, kind, cls, _ = pop(heap)
@@ -213,7 +236,12 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
                 estimator_trace.append((t, *estimates))
         if events is not None:
             events.append((t, "arrival", cls, "accept" if accepted else "block", occupied))
+            if len(events) >= _EVENT_BATCH:
+                on_events(events)
+                events = []
 
+    if events:
+        on_events(events)
     duration = max(last_t - measure_start, 0.0)
     blocking = tuple(
         block_counts[m] / arr_counts[m] if arr_counts[m] else 0.0 for m in range(m_count)
@@ -228,7 +256,7 @@ def run_simulation(scenario: SimScenario) -> SimMetrics:
         duration=duration,
         partition_trace=partition_trace,
         estimator_trace=estimator_trace,
-        events=events,
+        events=held,
     )
 
 

@@ -4,11 +4,13 @@ These deliberately avoid the code paths they check: the chain oracle is a
 dense linear solve of the balance equations, the closed-form oracle
 evaluates the printed product forms term by term, and the partition oracle
 uses exact rational arithmetic. The guard-floor reference keeps the
-per-class arithmetic that the allocator's vector helper replaced.
+per-class arithmetic that the allocator's vector helper replaced. The
+event-log writer formats every row through ``csv.writer``, field by field.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -75,6 +77,20 @@ def guard_floors_reference(rates, gamma: int) -> tuple[int, ...]:
     return tuple(
         math.floor(sum(shares[m - 1:]) + _FLOOR_SNAP) for m in range(1, len(shares) + 1)
     )
+
+
+def write_events_reference(path, per_rep_events) -> None:
+    """``events.csv`` as the CLI wrote it when it held every event: a
+    ``csv.writer`` row per event, floats as ``.9g`` and other fields by
+    ``str``. ``per_rep_events`` holds one event list per replication."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replication", "time", "kind", "class", "decision", "occupied_after"])
+        for rep, events in enumerate(per_rep_events):
+            for event in events:
+                writer.writerow(
+                    [f"{v:.9g}" if isinstance(v, float) else str(v) for v in (rep, *event)]
+                )
 
 
 def erlang_b_direct(servers: int, offered: float) -> float:
