@@ -5,10 +5,16 @@ of the guard pool proportional to its arrival rate, and may access the
 floor of the suffix sum of shares from its own class down to the lowest
 priority. Class 1 can always reach all N channels. A class-m call is
 admitted iff the occupancy is below its limit N_m.
+
+The floor rule y_m = floor(X_m + ... + X_M) is generated once per class
+count M and guard pool Gamma as straight-line code and cached: the
+simulator's dynamic policy evaluates it on every arrival, and
+``compute_partition`` evaluates the same function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,17 +73,36 @@ def reserved_shares(rates, gamma: int) -> tuple[float, ...]:
     return tuple(r / total * gamma for r in rates)
 
 
-def guard_floors(rates, gamma: int) -> tuple[int, ...]:
-    """y_m = floor(X_m + ... + X_M) for every class m, where
-    X_m = rate_m / total * gamma.
+@functools.lru_cache(maxsize=64)
+def floor_rule(m_count: int, gamma: int):
+    """The function ``(r_1, ..., r_M) -> (y_1, ..., y_M)`` for ``m_count``
+    classes and a guard pool of ``gamma`` channels, unrolled.
 
+    It computes total = r_1 + ... + r_M, X_m = r_m / total * gamma and
+    y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to right: the
+    same float operations in the same order as a loop over the shares.
     Does no validation: the rates must be finite and non-negative with a
     positive sum. ``compute_partition`` checks them first; the simulator's
     window estimates satisfy this by construction.
     """
-    total = sum(rates)
-    shares = [r / total * gamma for r in rates]
-    return tuple(math.floor(sum(shares[i:]) + _FLOOR_SNAP) for i in range(len(shares)))
+    if m_count < 1:
+        raise ValueError(f"need at least one class, got {m_count}")
+    r = [f"r{i}" for i in range(m_count)]
+    x = [f"x{i}" for i in range(m_count)]
+    lines = [f"def rule({', '.join(r)}):", f"    total = {' + '.join(r)}"]
+    lines += [f"    {x[i]} = {r[i]} / total * gamma" for i in range(m_count)]
+    floors = [f"floor({' + '.join(x[i:])} + {_FLOOR_SNAP!r})" for i in range(m_count)]
+    lines.append(f"    return ({', '.join(floors)},)")
+    namespace = {"floor": math.floor, "gamma": gamma}
+    exec("\n".join(lines), namespace)
+    return namespace["rule"]
+
+
+def guard_floors(rates, gamma: int) -> tuple[int, ...]:
+    """y_m = floor(X_m + ... + X_M) for every class m, where
+    X_m = rate_m / total * gamma, by ``floor_rule``. Does no validation."""
+    rates = tuple(rates)
+    return floor_rule(len(rates), gamma)(*rates)
 
 
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:

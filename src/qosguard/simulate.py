@@ -1,12 +1,16 @@
 """Event-driven simulator of the closed admission loop.
 
-Per-class Poisson arrivals feed sliding-window rate estimators. Under the
-dynamic policy an arrival refreshes only its own class's estimate, re-derives
-the guard floors y_m from the estimate vector, and rebuilds the class limits
-only when some y_m changed. A call is admitted iff the occupancy is below its
-class limit. Departures are exponential. Runs are deterministic for a fixed
-scenario, and both policies can be replayed on the identical random draws for
-paired comparison.
+Per-class Poisson arrivals feed sliding-window rate estimators. Each class
+draws its arrival times in chunks from its own generator, and the classes
+are merged in time order ahead of the loop; a heap holds only the pending
+departures. At equal times a departure frees its channel before an arrival
+is tested, and arrivals go by class index. Under the dynamic policy an
+arrival refreshes only its own class's estimate, re-derives the guard floors
+y_m from the estimate vector with the allocator's cached floor rule, and
+rebuilds the class limits only when some y_m changed. A call is admitted iff
+the occupancy is below its class limit. Departures are exponential. Runs are
+deterministic for a fixed scenario, and both policies can be replayed on the
+identical random draws for paired comparison.
 
 With ``record_events`` set, the loop hands its per-call event log out in
 batches of at least ``_EVENT_BATCH`` events, to a caller's ``on_events`` sink
@@ -17,26 +21,25 @@ memory a run holds independent of its length.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .allocator import SystemConfig, compute_partition, guard_floors
+from .allocator import SystemConfig, compute_partition, floor_rule
 from .traffic import ArrivalWindow, TrafficProfile
 
 POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
 
-_RNG_CHUNK = 512
+# draws per generator call; it does not change the values drawn, and small
+# chunks keep few arrivals drawn and merged ahead of the loop
+_RNG_CHUNK = 128
 # events per batch handed to an on_events sink (a batch closes after the
 # arrival that fills it, so it may also hold a few departures beyond this)
 _EVENT_BATCH = 4096
-
-# event-kind ranks: at equal timestamps a departure frees its channel before
-# any arrival is tested, then arrivals go by class index
-_DEPARTURE = 0
-_ARRIVAL = 1
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,51 @@ class _ExpStream:
         return v
 
 
+def _merged_arrivals(seeds, rates):
+    """Yield every arrival of the run as (time, class index), in time order,
+    ties by class index.
+
+    Each class with a positive rate draws its gaps from its own generator in
+    chunks of ``_RNG_CHUNK``. A chunk's times are ``np.cumsum`` of its gaps
+    with the class's last arrival time added to the first, the same sums as
+    adding one gap at a time. Every class's arrivals up to the earliest last
+    drawn time among the classes are then complete: those are merged by one
+    sort and handed out, and each class keeps its remainder.
+    """
+    classes = [
+        (m + 1, np.random.default_rng(seeds[m]), 1.0 / rate)
+        for m, rate in enumerate(rates) if rate > 0
+    ]
+    pending: list[list[float]] = [[] for _ in classes]
+    last = [0.0] * len(classes)
+    while classes:
+        for i, (_, rng, mean) in enumerate(classes):
+            if not pending[i]:
+                gaps = rng.exponential(mean, size=_RNG_CHUNK)
+                gaps[0] += last[i]
+                pending[i] = gaps.cumsum().tolist()
+                last[i] = pending[i][-1]
+        horizon = min(last)
+        batch: list = []
+        for i, (cls, _, _) in enumerate(classes):
+            times = pending[i]
+            k = bisect_right(times, horizon)
+            batch += zip(times[:k], repeat(cls))
+            pending[i] = times[k:]
+        batch.sort()
+        yield from batch
+
+
 def run_simulation(
     scenario: SimScenario, on_events: Callable[[list], None] | None = None
 ) -> SimMetrics:
     """Simulate the closed admission loop for ``scenario``.
+
+    Arrivals come per class in chunks, merged in time order
+    (``_merged_arrivals``); a heap holds only the pending departures. Before
+    an arrival at time t, every departure at a time <= t is processed, so a
+    departure frees its channel before an arrival at the same time is
+    tested, and arrivals at the same time go by class index.
 
     Under the dynamic policy the guard partition follows the window
     estimates. Until the estimator is ready, the configured rates stand in.
@@ -125,12 +169,10 @@ def run_simulation(
     estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator
 
     seeds = np.random.SeedSequence(scenario.seed).spawn(2 * m_count)
-    arrival_streams = [
-        _ExpStream(seeds[m], 1.0 / true_rates[m]) if true_rates[m] > 0 else None
-        for m in range(m_count)
-    ]
+    arrivals = _merged_arrivals(seeds[:m_count], true_rates)
     holding_streams = [_ExpStream(seeds[m_count + m], mean_hold) for m in range(m_count)]
     windows = [ArrivalWindow(m + 1, config.window_n) for m in range(m_count)]
+    floors = floor_rule(m_count, guard)
 
     # the configured rates stand in until the estimator is ready
     cold_rates = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
@@ -144,15 +186,10 @@ def run_simulation(
     # a window never loses its gaps, so the set only shrinks
     cold = {m for m in range(m_count) if true_rates[m] > 0}
 
-    # heap entries: (time, kind_rank, class_index, seq, ...)
-    heap: list = []
+    # pending departures: (time, class_index, seq)
+    departures: list = []
     push, pop = heapq.heappush, heapq.heappop
     seq = 0
-    for m in range(m_count):
-        stream = arrival_streams[m]
-        if stream is not None:
-            push(heap, (stream.next(), _ARRIVAL, m + 1, seq))
-            seq += 1
 
     total_target = scenario.arrivals
     warmup_count = int(scenario.warmup * total_target)
@@ -174,23 +211,21 @@ def run_simulation(
         held = []
         on_events = held.extend
 
-    while heap and arrivals_seen < total_target:
-        t, kind, cls, _ = pop(heap)
+    for t, cls in arrivals:
+        while departures and departures[0][0] <= t:
+            dt, dcls, _ = pop(departures)
+            if in_measurement:
+                area += occupied * (dt - last_t)
+            last_t = dt
+            occupied -= 1
+            if events is not None:
+                events.append((dt, "departure", dcls, "release", occupied))
         if in_measurement:
             area += occupied * (t - last_t)
         last_t = t
 
-        if kind == _DEPARTURE:
-            occupied -= 1
-            if events is not None:
-                events.append((t, "departure", cls, "release", occupied))
-            continue
-
         m = cls - 1
         arrivals_seen += 1
-        # schedule this class's next arrival
-        push(heap, (t + arrival_streams[m].next(), _ARRIVAL, cls, seq))
-        seq += 1
         # holding time is drawn whether or not the call is admitted, so paired
         # policy runs see identical sample paths
         hold = holding_streams[m].next()
@@ -209,7 +244,7 @@ def run_simulation(
                         w.estimate_rate() if w.has_estimate else 0.0 for w in windows
                     ]
             if not cold:
-                y = guard_floors(estimates, guard)
+                y = floors(*estimates)
                 if y != access:
                     access = y
                     limits = tuple(n - guard + v for v in y)
@@ -217,7 +252,7 @@ def run_simulation(
         accepted = occupied < limits[m]
         if accepted:
             occupied += 1
-            push(heap, (t + hold, _DEPARTURE, cls, seq))
+            push(departures, (t + hold, cls, seq))
             seq += 1
 
         if arrivals_seen > warmup_count:
@@ -239,6 +274,8 @@ def run_simulation(
             if len(events) >= _EVENT_BATCH:
                 on_events(events)
                 events = []
+        if arrivals_seen == total_target:
+            break
 
     if events:
         on_events(events)

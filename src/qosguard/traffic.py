@@ -100,7 +100,12 @@ class ArrivalWindow:
         self.last_arrival = t
         self._records += 1
         if self._records % self._RESYNC_EVERY == 0:
-            self._gap_sum = sum(self.gaps)
+            # left to right, as the running sum adds: builtin sum compensates
+            # float rounding on Python 3.12 and later
+            total = 0.0
+            for g in self.gaps:
+                total += g
+            self._gap_sum = total
 
     def estimate_rate(self) -> float:
         """Current arrival-rate estimate in calls per second."""

@@ -6,18 +6,24 @@ evaluates the printed product forms term by term, and the partition oracle
 uses exact rational arithmetic. The guard-floor reference keeps the
 per-class arithmetic that the allocator's vector helper replaced. The
 event-log writer formats every row through ``csv.writer``, field by field.
+The reference simulator is the plain event loop: one heap of every event,
+one draw per scheduled arrival and a full ``compute_partition`` on every
+arrival.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from qosguard.allocator import _FLOOR_SNAP, reserved_shares
+from qosguard.allocator import _FLOOR_SNAP, compute_partition, reserved_shares
 from qosguard.markov import BlockingReport, blocking_probabilities, steady_state
+from qosguard.simulate import POLICY_DYNAMIC, SimMetrics
+from qosguard.traffic import ArrivalWindow
 
 
 class TranscriptionDiscrepancy(Exception):
@@ -91,6 +97,123 @@ def write_events_reference(path, per_rep_events) -> None:
                 writer.writerow(
                     [f"{v:.9g}" if isinstance(v, float) else str(v) for v in (rep, *event)]
                 )
+
+
+def run_simulation_reference(scenario) -> SimMetrics:
+    """``simulate.run_simulation`` as a plain event loop, holding every event.
+
+    One heap holds arrivals and departures as (time, kind_rank, class, seq):
+    at equal times a departure (rank 0) frees its channel before an arrival
+    (rank 1) is tested, and arrivals go by class index. Each arrival pushes
+    its class's next arrival as ``t + draw``, drawn one value at a time from
+    the class's own generator. Under the dynamic policy every arrival calls
+    ``compute_partition`` on the whole rate vector: the configured rates
+    until every class with a positive configured rate has a gap in its
+    window, then the window estimates, 0.0 for a class that never arrives.
+    """
+    config = scenario.config
+    true_rates = scenario.profile.rates
+    m_count = len(true_rates)
+    n = config.n_channels
+    estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator
+
+    seeds = np.random.SeedSequence(scenario.seed).spawn(2 * m_count)
+    arrival_rngs = [np.random.default_rng(seeds[m]) for m in range(m_count)]
+    holding_rngs = [np.random.default_rng(seeds[m_count + m]) for m in range(m_count)]
+    windows = [ArrivalWindow(m + 1, config.window_n) for m in range(m_count)]
+
+    def draw(rng, mean):
+        return float(rng.exponential(mean))
+
+    cold_rates = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
+    if scenario.policy == POLICY_DYNAMIC:
+        part = compute_partition(config, cold_rates)
+        limits, access = part.limits, part.guard_access
+    else:
+        limits, access = (n,) * m_count, (config.guard,) * m_count
+
+    heap: list = []
+    seq = 0
+    for m in range(m_count):
+        if true_rates[m] > 0:
+            heapq.heappush(heap, (draw(arrival_rngs[m], 1.0 / true_rates[m]), 1, m + 1, seq))
+            seq += 1
+
+    warmup_count = int(scenario.warmup * scenario.arrivals)
+    arrivals_seen = occupied = 0
+    arr_counts = [0] * m_count
+    block_counts = [0] * m_count
+    admit_counts = [0] * m_count
+    in_measurement = warmup_count == 0
+    measure_start = area = last_t = 0.0
+    partition_trace: list = []
+    estimator_trace: list = []
+    events: list | None = [] if scenario.record_events else None
+
+    while heap and arrivals_seen < scenario.arrivals:
+        t, kind, cls, _ = heapq.heappop(heap)
+        if in_measurement:
+            area += occupied * (t - last_t)
+        last_t = t
+        if kind == 0:
+            occupied -= 1
+            if events is not None:
+                events.append((t, "departure", cls, "release", occupied))
+            continue
+
+        m = cls - 1
+        arrivals_seen += 1
+        heapq.heappush(heap, (t + draw(arrival_rngs[m], 1.0 / true_rates[m]), 1, cls, seq))
+        seq += 1
+        hold = draw(holding_rngs[m], 1.0 / config.mu)
+
+        if estimating:
+            windows[m].record_arrival(t)
+            ready = all(w.has_estimate for w, r in zip(windows, true_rates) if r > 0)
+            if ready:
+                rates_vec = tuple(w.estimate_rate() if w.has_estimate else 0.0 for w in windows)
+            else:
+                rates_vec = tuple(cold_rates)
+            part = compute_partition(config, rates_vec)
+            limits, access = part.limits, part.guard_access
+
+        accepted = occupied < limits[m]
+        if accepted:
+            occupied += 1
+            heapq.heappush(heap, (t + hold, 0, cls, seq))
+            seq += 1
+
+        if arrivals_seen > warmup_count:
+            if not in_measurement:
+                in_measurement = True
+                measure_start = t
+            arr_counts[m] += 1
+            if accepted:
+                admit_counts[m] += 1
+            else:
+                block_counts[m] += 1
+
+        if arrivals_seen % scenario.trace_stride == 0:
+            partition_trace.append((t, *access))
+            if estimating:
+                estimator_trace.append((t, *rates_vec))
+        if events is not None:
+            events.append((t, "arrival", cls, "accept" if accepted else "block", occupied))
+
+    duration = max(last_t - measure_start, 0.0)
+    return SimMetrics(
+        per_class_arrivals=tuple(arr_counts),
+        per_class_blocks=tuple(block_counts),
+        per_class_admissions=tuple(admit_counts),
+        empirical_blocking=tuple(
+            b / a if a else 0.0 for a, b in zip(arr_counts, block_counts)
+        ),
+        utilization=area / (duration * n) if duration > 0 else 0.0,
+        duration=duration,
+        partition_trace=partition_trace,
+        estimator_trace=estimator_trace,
+        events=events,
+    )
 
 
 def erlang_b_direct(servers: int, offered: float) -> float:

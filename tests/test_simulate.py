@@ -1,8 +1,14 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracles import run_simulation_reference
+from qosguard import simulate
 from qosguard.allocator import SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b, steady_state
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
@@ -160,6 +166,91 @@ class TestDynamicFastPath:
         assert len(rows) == 20
         assert all(row[2] == 0.0 for row in rows)
         assert all(row != (0.5, 0.3, 0.0) for row in rows)
+
+
+class _QuantisedRng:
+    """A generator whose exponential draws land on a 1/4 grid (and are never
+    0), so arrival and departure times tie often and exactly."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def exponential(self, scale, size=None):
+        return np.floor(self.rng.exponential(scale, size) * 4) / 4 + 0.25
+
+
+def _quantise_draws(patch):
+    default_rng = np.random.default_rng
+    patch.setattr(np.random, "default_rng", lambda seed: _QuantisedRng(default_rng(seed)))
+
+
+@st.composite
+def scenarios(draw):
+    m_count = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=30))
+    rate = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=8.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # guard > N/2 warns
+        config = SystemConfig(
+            n,
+            draw(st.integers(min_value=0, max_value=n)),
+            draw(st.floats(min_value=0.1, max_value=4.0)),
+            draw(st.integers(min_value=1, max_value=40)),
+        )
+    return SimScenario(
+        config=config,
+        profile=TrafficProfile.from_rates(draw(st.lists(rate, min_size=m_count,
+                                                        max_size=m_count))),
+        arrivals=draw(st.integers(min_value=1, max_value=1500)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        policy=draw(st.sampled_from(["dynamic", "sharing"])),
+        warmup=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        bypass_estimator=draw(st.booleans()),
+        trace_stride=draw(st.integers(min_value=1, max_value=60)),
+        record_events=draw(st.booleans()),
+    )
+
+
+class TestMatchesReferenceLoop:
+    # the loop's merged arrival chunks, departures-only heap and cached floor
+    # rule must give exactly what the plain one-heap loop gives: every count,
+    # float, trace row and event
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=scenarios(), quantised=st.booleans())
+    def test_same_metrics_as_reference(self, monkeypatch, scenario, quantised):
+        with monkeypatch.context() as patch:
+            if quantised:
+                _quantise_draws(patch)
+            assert asdict(run_simulation(scenario)) == asdict(
+                run_simulation_reference(scenario))
+
+    def test_quantised_draws_tie(self, monkeypatch):
+        # the grid makes departures coincide with arrivals, the case where
+        # the order of the two decides the admission
+        _quantise_draws(monkeypatch)
+        scenario = SimScenario(config=SystemConfig(4, 1, 1.0, 10),
+                               profile=TrafficProfile.from_rates([2.0, 1.0]),
+                               arrivals=2000, seed=3, record_events=True)
+        metrics = run_simulation(scenario)
+        departures = {ev[0] for ev in metrics.events if ev[1] == "departure"}
+        tied = [ev for ev in metrics.events if ev[1] == "arrival" and ev[0] in departures]
+        assert len(tied) > 100
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+
+    @pytest.mark.parametrize("policy,bypass", [("dynamic", False), ("dynamic", True),
+                                               ("sharing", False)])
+    def test_chunk_size_does_not_change_the_run(self, monkeypatch, policy, bypass):
+        scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30),
+                               profile=TrafficProfile.from_rates([9.0, 12.0, 0.0, 3.0]),
+                               arrivals=5000, seed=9, policy=policy,
+                               bypass_estimator=bypass, trace_stride=7,
+                               record_events=True)
+        runs = {}
+        for chunk in (1, 7, 128, 512):
+            monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
+            runs[chunk] = asdict(run_simulation(scenario))
+        assert runs[1] == runs[7] == runs[128] == runs[512]
 
 
 class TestComparePolicies:
