@@ -7,12 +7,9 @@ optical-channel companion.
 
 from .allocator import (
     ChannelPartition,
-    DegenerateRatesError,
     SystemConfig,
     compute_partition,
-    equal_split_partition,
     guard_floors,
-    reserved_shares,
 )
 from .markov import (
     BlockingReport,
@@ -22,27 +19,21 @@ from .markov import (
     steady_state,
 )
 from .simulate import SimMetrics, SimScenario, compare_policies, run_simulation
-from .traffic import ArrivalWindow, ClassSpec, RateEstimateUnavailable, TrafficProfile
+from .traffic import ArrivalWindow
 
 __all__ = [
     "ArrivalWindow",
     "BlockingReport",
     "ChannelPartition",
-    "ClassSpec",
-    "DegenerateRatesError",
-    "RateEstimateUnavailable",
     "SimMetrics",
     "SimScenario",
     "SteadyState",
     "SystemConfig",
-    "TrafficProfile",
     "blocking_probabilities",
     "compare_policies",
     "compute_partition",
-    "equal_split_partition",
     "erlang_b",
     "guard_floors",
-    "reserved_shares",
     "run_simulation",
     "steady_state",
 ]

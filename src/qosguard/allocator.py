@@ -9,7 +9,8 @@ admitted iff the occupancy is below its limit N_m.
 The floor rule y_m = floor(X_m + ... + X_M) is generated once per class
 count M and guard pool Gamma as straight-line code and cached: the
 simulator's dynamic policy evaluates it on every arrival, and
-``compute_partition`` evaluates the same function.
+``compute_partition`` evaluates the same function. An all-zero rate vector
+has no proportional split: ``compute_partition`` gives it the equal one.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from dataclasses import dataclass
 # Snap applied before floor(): suffix sums that are integers in exact
 # arithmetic may land a few ulps low in floats (e.g. 0.7/1.0*10).
 _FLOOR_SNAP = 1e-9
-
-
-class DegenerateRatesError(Exception):
-    """All arrival rates are zero; the proportional split is undefined."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,8 @@ class SystemConfig:
             raise ValueError(
                 f"guard must satisfy 0 <= guard <= n_channels, got {self.guard}"
             )
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if self.window_n < 1:
             raise ValueError(f"window_n must be >= 1, got {self.window_n}")
         if self.guard > self.n_channels / 2:
@@ -56,21 +53,8 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ChannelPartition:
-    shares: tuple[float, ...]       # X_m, real guard-pool shares
     guard_access: tuple[int, ...]   # y_m, guard channels reachable by class m
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
-
-
-def reserved_shares(rates, gamma: int) -> tuple[float, ...]:
-    """Guard-pool share per class: X_m = (rate_m / total) * gamma."""
-    rates = tuple(float(r) for r in rates)
-    for m, r in enumerate(rates, start=1):
-        if not math.isfinite(r) or r < 0:
-            raise ValueError(f"rate for class {m} must be finite and >= 0, got {r}")
-    total = sum(rates)
-    if total <= 0:
-        raise DegenerateRatesError("all arrival rates are zero")
-    return tuple(r / total * gamma for r in rates)
 
 
 @functools.lru_cache(maxsize=64)
@@ -106,14 +90,17 @@ def guard_floors(rates, gamma: int) -> tuple[int, ...]:
 
 
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
-    """Full per-class partition (X_m, y_m, N_m) for the given rate vector."""
+    """Per-class partition (y_m, N_m) for the given rate vector. The rates
+    must be finite and non-negative with a finite sum; an all-zero vector
+    splits the guard pool equally."""
     rates = tuple(float(r) for r in rates)
-    shares = reserved_shares(rates, config.guard)
-    guard_access = guard_floors(rates, config.guard)
+    for m, r in enumerate(rates, start=1):
+        if not math.isfinite(r) or r < 0:
+            raise ValueError(f"rate for class {m} must be finite and >= 0, got {r}")
+    if not math.isfinite(sum(rates)):
+        raise ValueError(f"rates must have a finite sum, got {rates}")
+    if not any(rates):
+        rates = (1.0,) * len(rates)
+    guard_access = floor_rule(len(rates), config.guard)(*rates)
     limits = tuple(config.n_channels - config.guard + y for y in guard_access)
-    return ChannelPartition(shares=shares, guard_access=guard_access, limits=limits)
-
-
-def equal_split_partition(config: SystemConfig, num_classes: int) -> ChannelPartition:
-    """Fallback partition for an all-zero rate vector: equal guard shares."""
-    return compute_partition(config, (1.0,) * num_classes)
+    return ChannelPartition(guard_access=guard_access, limits=limits)

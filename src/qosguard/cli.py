@@ -14,10 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import markov, vlc
-from .allocator import compute_partition, equal_split_partition
+from .allocator import compute_partition
 from .config import MODES, ConfigError, ExperimentSpec, parse_config, render_manifest
 from .simulate import SimScenario, compare_policies, run_simulation
-from .traffic import TrafficProfile
 
 
 def _fmt(x) -> str:
@@ -50,7 +49,7 @@ def _event_sink(fh, rep: int):
 
 
 def _rates_for_point(spec: ExperimentSpec, lambda_total: float) -> tuple[float, ...]:
-    ratio = spec.ratio if spec.ratio is not None else spec.profile.rates
+    ratio = spec.ratio if spec.ratio is not None else spec.rates
     total = sum(ratio)
     return tuple(r / total * lambda_total for r in ratio)
 
@@ -59,10 +58,7 @@ def _analytic_point(spec, rates):
     """Analytic B_m, utilization for the dynamic partition plus the
     complete-sharing baseline at the same total load."""
     config = spec.config
-    if sum(rates) > 0:
-        partition = compute_partition(config, rates)
-    else:
-        partition = equal_split_partition(config, len(rates))
+    partition = compute_partition(config, rates)
     ss = markov.steady_state(config, partition, rates)
     report = markov.blocking_probabilities(ss, partition)
     offered = sum(rates) / config.mu
@@ -74,21 +70,21 @@ def _analytic_point(spec, rates):
 def _sweep_points(spec: ExperimentSpec):
     """Rate vectors for each sweep point, with the swept value labelled."""
     if spec.lambda_1_grid is not None:
-        if spec.profile is None:
+        if spec.rates is None:
             raise ConfigError(
                 "[sweep] lambda_1 sweep needs [traffic] rates for the fixed classes"
             )
-        fixed = spec.profile.rates[1:]
+        fixed = spec.rates[1:]
         return [("lambda_1", l1, (l1,) + fixed) for l1 in spec.lambda_1_grid]
     if spec.lambda_total_grid is not None:
-        if spec.ratio is None and spec.profile is None:
+        if spec.ratio is None and spec.rates is None:
             raise ConfigError("[sweep] lambda_total sweep needs [traffic] ratio or rates")
         return [
             ("lambda_T", lt, _rates_for_point(spec, lt)) for lt in spec.lambda_total_grid
         ]
-    if spec.profile is None:
+    if spec.rates is None:
         raise ConfigError("[traffic] rates required when no sweep grid is given")
-    rates = spec.profile.rates
+    rates = spec.rates
     return [("lambda_T", sum(rates), rates)]
 
 
@@ -123,7 +119,7 @@ def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
 def _scenario(spec: ExperimentSpec, rates, seed: int, record_events: bool = False) -> SimScenario:
     return SimScenario(
         config=spec.config,
-        profile=TrafficProfile.from_rates(rates),
+        rates=rates,
         arrivals=spec.arrivals,
         seed=seed,
         policy=spec.policy,
@@ -144,9 +140,9 @@ def _sim_rows(metrics, m_count):
 
 
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
-    if spec.profile is None:
+    if spec.rates is None:
         raise ConfigError("[traffic] rates required for simulate mode")
-    rates = spec.profile.rates
+    rates = spec.rates
     m_count = len(rates)
     blocking_rows, util_rows, partition_rows = [], [], []
     # events go to disk batch by batch as each replication runs
@@ -180,9 +176,9 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
-    if spec.profile is None:
+    if spec.rates is None:
         raise ConfigError("[traffic] rates required for compare mode")
-    rates = spec.profile.rates
+    rates = spec.rates
     m_count = len(rates)
     blocking_rows, util_rows = [], []
     for rep in range(spec.replications):

@@ -4,11 +4,11 @@ per concern, validated into an ExperimentSpec with field-path diagnostics."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .allocator import SystemConfig
 from .simulate import POLICY_DYNAMIC, POLICY_SHARING
-from .traffic import TrafficProfile
 from .vlc import OpticalLinkParams
 
 MODES = ("analyze", "simulate", "compare", "sweep", "vlc-link")
@@ -33,7 +33,7 @@ def _simulation_key(default):
 @dataclass(frozen=True)
 class ExperimentSpec:
     config: SystemConfig
-    profile: TrafficProfile | None
+    rates: tuple[float, ...] | None
     ratio: tuple[float, ...] | None = None
     lambda_total_grid: tuple[float, ...] | None = None
     lambda_1_grid: tuple[float, ...] | None = None
@@ -72,7 +72,7 @@ _SIMULATION_FIELDS = tuple(
 
 _KNOWN_KEYS = {
     "system": {"channels", "guard", "mu", "holding_time", "window"},
-    "traffic": {"names", "rates", "ratio"},
+    "traffic": {"rates", "ratio"},
     "sweep": {"lambda_total", "lambda_1"},
     "simulation": {f.name for f in _SIMULATION_FIELDS},
     "vlc": {f.name for f in fields(OpticalLinkParams)},
@@ -95,6 +95,11 @@ def _float_list(raw: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
+
+
+def _finite_non_negative(values) -> bool:
+    """Every entry finite and >= 0, and a finite sum."""
+    return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
 
 
 def _bool(raw: str) -> bool:
@@ -133,8 +138,8 @@ def parse_config(text: str) -> ExperimentSpec:
     mu = _get(parser, "system", "mu", float, None, errors)
     if mu is not None and holding is not None:
         errors.append("[system] mu and holding_time are mutually exclusive")
-    if holding is not None and not holding > 0:
-        errors.append("[system] holding_time: must be > 0")
+    if holding is not None and not (math.isfinite(holding) and holding > 0):
+        errors.append("[system] holding_time: must be finite and > 0")
         holding = None
     if mu is None:
         mu = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
@@ -142,21 +147,21 @@ def parse_config(text: str) -> ExperimentSpec:
 
     rates = _get(parser, "traffic", "rates", _float_list, None, errors)
     ratio = _get(parser, "traffic", "ratio", _float_list, None, errors)
-    names_raw = parser.get("traffic", "names", fallback=None)
-    names = [n.strip() for n in names_raw.split(",")] if names_raw else None
-    if rates is not None and any(r < 0 for r in rates):
-        errors.append("[traffic] rates: negative rate")
-    if ratio is not None and (any(r < 0 for r in ratio) or sum(ratio) == 0):
-        errors.append("[traffic] ratio: entries must be >= 0 with a positive sum")
-    if names is not None:
-        expect = len(rates) if rates is not None else len(ratio) if ratio else None
-        if expect is not None and len(names) != expect:
-            errors.append(f"[traffic] names: expected {expect} entries, got {len(names)}")
+    if rates is not None and not _finite_non_negative(rates):
+        errors.append("[traffic] rates: entries must be finite and >= 0 with a finite sum")
+    if ratio is not None and not (_finite_non_negative(ratio) and sum(ratio) > 0):
+        errors.append(
+            "[traffic] ratio: entries must be finite and >= 0 with a positive, finite sum"
+        )
 
     lambda_total_grid = _get(parser, "sweep", "lambda_total", _float_list, None, errors)
     lambda_1_grid = _get(parser, "sweep", "lambda_1", _float_list, None, errors)
     for key, grid in (("lambda_total", lambda_total_grid), ("lambda_1", lambda_1_grid)):
-        if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
+        if grid is None:
+            continue
+        if not _finite_non_negative(grid):
+            errors.append(f"[sweep] {key}: entries must be finite and >= 0 with a finite sum")
+        elif any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append(f"[sweep] {key}: grid must be strictly increasing")
 
     simulation = {
@@ -184,17 +189,10 @@ def parse_config(text: str) -> ExperimentSpec:
         errors.append(f"[vlc] {exc}")
         vlc = OpticalLinkParams()
 
-    profile = None
-    if rates is not None:
-        try:
-            profile = TrafficProfile.from_rates(rates, names)
-        except ValueError as exc:
-            errors.append(f"[traffic] {exc}")
-
     try:
         spec = ExperimentSpec(
             config=config,
-            profile=profile,
+            rates=rates,
             ratio=ratio,
             lambda_total_grid=lambda_total_grid,
             lambda_1_grid=lambda_1_grid,
@@ -227,7 +225,7 @@ def render_manifest(spec: ExperimentSpec, mode: str) -> str:
         "system.guard": spec.config.guard,
         "system.mu": spec.config.mu,
         "system.window": spec.config.window_n,
-        "traffic.rates": spec.profile.rates if spec.profile else None,
+        "traffic.rates": spec.rates,
         "traffic.ratio": spec.ratio,
         "sweep.lambda_total": spec.lambda_total_grid,
         "sweep.lambda_1": spec.lambda_1_grid,

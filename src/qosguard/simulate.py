@@ -21,6 +21,7 @@ memory a run holds independent of its length.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .allocator import SystemConfig, compute_partition, floor_rule
-from .traffic import ArrivalWindow, TrafficProfile
+from .traffic import ArrivalWindow
 
 POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
@@ -45,7 +46,7 @@ _EVENT_BATCH = 4096
 @dataclass(frozen=True)
 class SimScenario:
     config: SystemConfig
-    profile: TrafficProfile
+    rates: tuple[float, ...]         # per-class arrival rates, class 1 first
     arrivals: int = 1_000_000        # total arrivals simulated (all classes)
     seed: int = 0
     policy: str = POLICY_DYNAMIC
@@ -55,6 +56,12 @@ class SimScenario:
     record_events: bool = False
 
     def __post_init__(self):
+        rates = tuple(float(r) for r in self.rates)
+        object.__setattr__(self, "rates", rates)
+        if not rates:
+            raise ValueError("at least one traffic class is required")
+        if not all(math.isfinite(r) and r >= 0 for r in rates) or not math.isfinite(sum(rates)):
+            raise ValueError(f"rates must be finite and >= 0 with a finite sum, got {rates}")
         if self.arrivals < 1:
             raise ValueError(f"arrivals must be >= 1, got {self.arrivals}")
         if not 0 <= self.warmup < 1:
@@ -159,9 +166,8 @@ def run_simulation(
     on. Without one, the batches collect into ``SimMetrics.events``.
     """
     config = scenario.config
-    profile = scenario.profile
-    m_count = profile.num_classes
-    true_rates = profile.rates
+    true_rates = scenario.rates
+    m_count = len(true_rates)
     n = config.n_channels
     guard = config.guard
     mean_hold = 1.0 / config.mu
@@ -175,13 +181,12 @@ def run_simulation(
     floors = floor_rule(m_count, guard)
 
     # the configured rates stand in until the estimator is ready
-    cold_rates = true_rates if sum(true_rates) > 0 else (1.0,) * m_count
     if scenario.policy == POLICY_DYNAMIC:
-        base_partition = compute_partition(config, cold_rates)
+        base_partition = compute_partition(config, true_rates)
         limits, access = base_partition.limits, base_partition.guard_access
     else:
         limits, access = (n,) * m_count, (guard,) * m_count
-    estimates = list(cold_rates)
+    estimates = list(true_rates)
     # classes with a positive configured rate whose window holds no gap yet;
     # a window never loses its gaps, so the set only shrinks
     cold = {m for m in range(m_count) if true_rates[m] > 0}

@@ -1,67 +1,10 @@
-"""Traffic classes and sliding-window arrival-rate estimation."""
+"""Sliding-window arrival-rate estimation: one window per traffic class
+holds the class's most recent inter-arrival gaps, and the rate estimate is
+the reciprocal of their mean."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
-
-
-class RateEstimateUnavailable(Exception):
-    """The arrival window holds no inter-arrival gap yet (cold start)."""
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    """One traffic class. Index 1 is the highest priority."""
-
-    index: int
-    name: str
-    rate: float  # arrivals per second
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"class index must be >= 1, got {self.index}")
-        if not math.isfinite(self.rate) or self.rate < 0:
-            raise ValueError(f"class {self.index}: rate must be finite and >= 0, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Ordered set of traffic classes, highest priority first."""
-
-    classes: tuple[ClassSpec, ...]
-
-    def __post_init__(self):
-        if len(self.classes) < 1:
-            raise ValueError("at least one traffic class is required")
-        indices = [c.index for c in self.classes]
-        if indices != list(range(1, len(self.classes) + 1)):
-            raise ValueError(f"class indices must be contiguous 1..M, got {indices}")
-
-    @classmethod
-    def from_rates(cls, rates, names=None) -> "TrafficProfile":
-        rates = list(rates)
-        if names is None:
-            names = [f"class{i}" for i in range(1, len(rates) + 1)]
-        specs = tuple(
-            ClassSpec(index=i, name=nm, rate=float(r))
-            for i, (nm, r) in enumerate(zip(names, rates), start=1)
-        )
-        return cls(classes=specs)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(c.rate for c in self.classes)
-
-    @property
-    def total_rate(self) -> float:
-        # always recomputed: the total is defined as the sum of the class rates
-        return sum(c.rate for c in self.classes)
 
 
 class ArrivalWindow:
@@ -110,7 +53,7 @@ class ArrivalWindow:
     def estimate_rate(self) -> float:
         """Current arrival-rate estimate in calls per second."""
         if not self.gaps:
-            raise RateEstimateUnavailable(
+            raise ValueError(
                 f"class {self.class_index}: no inter-arrival gap observed yet"
             )
         return len(self.gaps) / self._gap_sum

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: the chain oracle is a
 dense linear solve of the balance equations, the closed-form oracle
 evaluates the printed product forms term by term, and the partition oracle
 uses exact rational arithmetic. The guard-floor reference keeps the
-per-class arithmetic that the allocator's vector helper replaced. The
+per-class arithmetic that the allocator's unrolled floor rule replaced, with
+every sum an explicit left-to-right loop (builtin ``sum`` compensates float
+rounding on Python 3.12 and later, the floor rule does not). The
 event-log writer formats every row through ``csv.writer``, field by field.
 The reference simulator is the plain event loop: one heap of every event,
 one draw per scheduled arrival and a full ``compute_partition`` on every
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qosguard.allocator import _FLOOR_SNAP, compute_partition, reserved_shares
+from qosguard.allocator import _FLOOR_SNAP, compute_partition
 from qosguard.markov import BlockingReport, blocking_probabilities, steady_state
 from qosguard.simulate import POLICY_DYNAMIC, SimMetrics
 from qosguard.traffic import ArrivalWindow
@@ -75,14 +77,35 @@ def exact_partition(n: int, gamma: int, rates) -> tuple[list[int], list[int]]:
     return y, limits
 
 
+def reserved_shares(rates, gamma: int) -> tuple[float, ...]:
+    """Guard-pool share per class: X_m = (rate_m / total) * gamma, the total
+    added left to right. Rejects a negative or non-finite rate, and an
+    all-zero vector, which has no proportional split."""
+    rates = tuple(float(r) for r in rates)
+    for m, r in enumerate(rates, start=1):
+        if not math.isfinite(r) or r < 0:
+            raise ValueError(f"rate for class {m} must be finite and >= 0, got {r}")
+    total = 0.0
+    for r in rates:
+        total += r
+    if total <= 0:
+        raise ValueError("all arrival rates are zero")
+    return tuple(r / total * gamma for r in rates)
+
+
 def guard_floors_reference(rates, gamma: int) -> tuple[int, ...]:
     """y_m by the arithmetic of the former per-class ``accessible_guard``:
     the validated shares of ``reserved_shares``, then for each class m on its
-    own, floor(X_m + ... + X_M) after the same snap."""
+    own, floor(X_m + ... + X_M) after the same snap, the suffix added left
+    to right."""
     shares = reserved_shares(rates, gamma)
-    return tuple(
-        math.floor(sum(shares[m - 1:]) + _FLOOR_SNAP) for m in range(1, len(shares) + 1)
-    )
+    floors = []
+    for m in range(len(shares)):
+        suffix = 0.0
+        for x in shares[m:]:
+            suffix += x
+        floors.append(math.floor(suffix + _FLOOR_SNAP))
+    return tuple(floors)
 
 
 def write_events_reference(path, per_rep_events) -> None:
@@ -112,7 +135,7 @@ def run_simulation_reference(scenario) -> SimMetrics:
     window, then the window estimates, 0.0 for a class that never arrives.
     """
     config = scenario.config
-    true_rates = scenario.profile.rates
+    true_rates = scenario.rates
     m_count = len(true_rates)
     n = config.n_channels
     estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator

@@ -88,12 +88,10 @@ def test_criterion_3_worked_instance():
         abs(rep.per_class[0] - 2 / 17) < 1e-12 and abs(rep.per_class[1] - 8 / 17) < 1e-12
     )
 
-    from qosguard.traffic import TrafficProfile
-
     metrics = run_simulation(
         SimScenario(
             config=cfg,
-            profile=TrafficProfile.from_rates([1.0, 1.0]),
+            rates=(1.0, 1.0),
             arrivals=1_000_000,
             seed=17,
             bypass_estimator=True,
@@ -116,8 +114,6 @@ def test_criterion_4_simulation_analysis_agreement_paper_scale():
     # over the holding timescale), so the standard error comes from
     # independent replications, with a binomial floor for near-zero rates.
     t0 = time.perf_counter()
-    from qosguard.traffic import TrafficProfile
-
     cfg = SystemConfig(100, 10, MU, 100)
     reps = 10
     ok = True
@@ -131,7 +127,7 @@ def test_criterion_4_simulation_analysis_agreement_paper_scale():
             run_simulation(
                 SimScenario(
                     config=cfg,
-                    profile=TrafficProfile.from_rates(rates),
+                    rates=rates,
                     arrivals=200_000,
                     seed=1000 * load + r,
                     bypass_estimator=True,

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +32,21 @@ events = true
 
 
 # one bad value per validated field: (mode, config lines, CLI arguments,
-# the field path expected on stderr); every config also has [traffic] rates
+# the field path expected on stderr); a config without its own [traffic]
+# section gets [traffic] rates = 0.3, 0.3
 BAD_FIELDS = [
     ("analyze", "[system]\nholding_time = 0", [], "[system] holding_time"),
+    ("analyze", "[system]\nholding_time = inf", [], "[system] holding_time"),
     ("analyze", "[system]\nmu = 0", [], "[system] mu"),
+    ("analyze", "[system]\nmu = inf", [], "[system] mu"),
+    ("simulate", "[system]\nmu = nan", [], "[system] mu"),
+    ("analyze", "[traffic]\nrates = nan, 1", [], "[traffic] rates"),
+    ("analyze", "[traffic]\nrates = 1e308, 1e308", [], "[traffic] rates"),
+    ("analyze", "[sweep]\nlambda_total = 1\n[traffic]\nratio = inf, 1", [], "[traffic] ratio"),
+    ("analyze", "[sweep]\nlambda_total = 1\n[traffic]\nratio = nan, 1", [], "[traffic] ratio"),
+    ("analyze", "[sweep]\nlambda_total = -1, 0.5", [], "[sweep] lambda_total"),
+    ("analyze", "[sweep]\nlambda_total = 0.5, nan", [], "[sweep] lambda_total"),
+    ("analyze", "[sweep]\nlambda_1 = -0.1, 0.3", [], "[sweep] lambda_1"),
     ("simulate", "[simulation]\narrivals = 0", [], "[simulation] arrivals"),
     ("simulate", "[simulation]\nwarmup = 1.0", [], "[simulation] warmup"),
     ("simulate", "[simulation]\npolicy = greedy", [], "[simulation] policy"),
@@ -68,7 +80,7 @@ class TestParseConfig:
         assert spec.config.guard == 10
         assert spec.config.mu == pytest.approx(1 / 120)
         assert spec.config.window_n == 100
-        assert spec.profile.rates == (0.3, 0.4, 0.2, 0.1)
+        assert spec.rates == (0.3, 0.4, 0.2, 0.1)
 
     def test_guard_exceeding_channels_rejected(self):
         with pytest.raises(ConfigError, match="guard"):
@@ -81,6 +93,16 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match=r"\[system\] bogus"):
             parse_config("[system]\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=r"\[traffic\] names: unknown key"):
+            parse_config("[traffic]\nrates = 0.3, 0.3\nnames = voice, data\n")
+
+    def test_readme_example_parses(self):
+        # a key the README documents must be one the parser takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        spec = parse_config(block)
+        assert spec.ratio == (3.0, 4.0, 2.0, 1.0)
+        assert spec.lambda_total_grid == (0.5, 0.667, 0.833, 1.0)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown section"):
@@ -184,7 +206,8 @@ class TestCliModes:
     )
     def test_bad_field_exits_2_with_path(self, tmp_path, capsys, mode, lines, args, path):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[traffic]\nrates = 0.3, 0.3\n{lines}\n")
+        traffic = "" if "[traffic]" in lines else "[traffic]\nrates = 0.3, 0.3\n"
+        cfg.write_text(f"{traffic}{lines}\n")
         argv = [mode, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]
         try:
             code = main(argv)

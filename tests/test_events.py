@@ -57,7 +57,7 @@ def held_events(cfg):
     spec = parse_config(cfg.read_text())
     return [
         run_simulation(
-            cli._scenario(spec, spec.profile.rates, spec.seed + rep, True)
+            cli._scenario(spec, spec.rates, spec.seed + rep, True)
         ).events
         for rep in range(spec.replications)
     ]
@@ -79,7 +79,7 @@ def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, batch)
 @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
 def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
     spec = parse_config(write_config(tmp_path, arrivals=arrivals, policy=policy).read_text())
-    scenario = cli._scenario(spec, spec.profile.rates, spec.seed, True)
+    scenario = cli._scenario(spec, spec.rates, spec.seed, True)
     batches = []
     streamed = run_simulation(scenario, on_events=batches.append)
     held = run_simulation(scenario)
@@ -93,7 +93,7 @@ def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
 
 def test_no_sink_calls_without_record_events(tmp_path):
     spec = parse_config(write_config(tmp_path).read_text())
-    scenario = cli._scenario(spec, spec.profile.rates, spec.seed, False)
+    scenario = cli._scenario(spec, spec.rates, spec.seed, False)
     calls = []
     metrics = run_simulation(scenario, on_events=calls.append)
     assert calls == []

@@ -32,10 +32,8 @@ class TestSteadyState:
         np.testing.assert_allclose(ss.probs, [0.4, 0.4, 0.2], atol=1e-12)
 
     def test_zero_rates_all_mass_at_zero(self):
-        from qosguard.allocator import equal_split_partition
-
         cfg = _cfg(5, 2)
-        p = equal_split_partition(cfg, 2)
+        p = compute_partition(cfg, (0.0, 0.0))
         ss = steady_state(cfg, p, (0.0, 0.0))
         assert ss.probs[0] == 1.0
         assert ss.probs[1:].sum() == 0.0

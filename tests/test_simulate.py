@@ -12,16 +12,15 @@ from qosguard import simulate
 from qosguard.allocator import SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b, steady_state
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
-from qosguard.traffic import TrafficProfile
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 50)
-SMALL_PROFILE = TrafficProfile.from_rates([1.0, 1.0])
+SMALL_RATES = (1.0, 1.0)
 
 
 def small_scenario(**kwargs):
     defaults = dict(
         config=SMALL_CFG,
-        profile=SMALL_PROFILE,
+        rates=SMALL_RATES,
         arrivals=200_000,
         seed=11,
         bypass_estimator=True,
@@ -37,9 +36,9 @@ def binom_se(p, n):
 class TestRunSimulation:
     def test_small_chain_matches_analysis(self):
         metrics = run_simulation(small_scenario())
-        part = compute_partition(SMALL_CFG, SMALL_PROFILE.rates)
+        part = compute_partition(SMALL_CFG, SMALL_RATES)
         rep = blocking_probabilities(
-            steady_state(SMALL_CFG, part, SMALL_PROFILE.rates), part
+            steady_state(SMALL_CFG, part, SMALL_RATES), part
         )
         for m in range(2):
             n = metrics.per_class_arrivals[m]
@@ -48,9 +47,9 @@ class TestRunSimulation:
 
     def test_complete_sharing_matches_erlang_b(self):
         cfg = SystemConfig(10, 0, 1.0, 50)
-        profile = TrafficProfile.from_rates([4.0, 4.0])
+        rates = (4.0, 4.0)
         metrics = run_simulation(
-            small_scenario(config=cfg, profile=profile, policy="sharing", arrivals=300_000)
+            small_scenario(config=cfg, rates=rates, policy="sharing", arrivals=300_000)
         )
         expected = erlang_b(10, 8.0)
         for m in range(2):
@@ -58,8 +57,8 @@ class TestRunSimulation:
             assert abs(metrics.empirical_blocking[m] - expected) < 3 * se
 
     def test_zero_rates_zero_everything(self):
-        profile = TrafficProfile.from_rates([0.0, 0.0])
-        metrics = run_simulation(small_scenario(profile=profile, arrivals=10))
+        rates = (0.0, 0.0)
+        metrics = run_simulation(small_scenario(rates=rates, arrivals=10))
         assert metrics.per_class_arrivals == (0, 0)
         assert metrics.utilization == 0.0
 
@@ -137,7 +136,7 @@ class TestDynamicFastPath:
     )
     def test_every_arrival_matches_compute_partition(self, config, rates):
         metrics = run_simulation(
-            SimScenario(config=config, profile=TrafficProfile.from_rates(rates),
+            SimScenario(config=config, rates=tuple(rates),
                         arrivals=20_000, seed=2, trace_stride=1, record_events=True)
         )
         arrivals = [ev for ev in metrics.events if ev[1] == "arrival"]
@@ -159,7 +158,7 @@ class TestDynamicFastPath:
         # with estimate 0.0, so the other classes' estimates take over
         metrics = run_simulation(
             SimScenario(config=SystemConfig(100, 10, 1 / 120, 100),
-                        profile=TrafficProfile.from_rates([0.5, 0.3, 0.0]),
+                        rates=(0.5, 0.3, 0.0),
                         arrivals=20_000, seed=0)
         )
         rows = [rec[1:] for rec in metrics.estimator_trace]
@@ -199,8 +198,7 @@ def scenarios(draw):
         )
     return SimScenario(
         config=config,
-        profile=TrafficProfile.from_rates(draw(st.lists(rate, min_size=m_count,
-                                                        max_size=m_count))),
+        rates=tuple(draw(st.lists(rate, min_size=m_count, max_size=m_count))),
         arrivals=draw(st.integers(min_value=1, max_value=1500)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         policy=draw(st.sampled_from(["dynamic", "sharing"])),
@@ -230,7 +228,7 @@ class TestMatchesReferenceLoop:
         # the order of the two decides the admission
         _quantise_draws(monkeypatch)
         scenario = SimScenario(config=SystemConfig(4, 1, 1.0, 10),
-                               profile=TrafficProfile.from_rates([2.0, 1.0]),
+                               rates=(2.0, 1.0),
                                arrivals=2000, seed=3, record_events=True)
         metrics = run_simulation(scenario)
         departures = {ev[0] for ev in metrics.events if ev[1] == "departure"}
@@ -242,7 +240,7 @@ class TestMatchesReferenceLoop:
                                                ("sharing", False)])
     def test_chunk_size_does_not_change_the_run(self, monkeypatch, policy, bypass):
         scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30),
-                               profile=TrafficProfile.from_rates([9.0, 12.0, 0.0, 3.0]),
+                               rates=(9.0, 12.0, 0.0, 3.0),
                                arrivals=5000, seed=9, policy=policy,
                                bypass_estimator=bypass, trace_stride=7,
                                record_events=True)
@@ -256,9 +254,9 @@ class TestMatchesReferenceLoop:
 class TestComparePolicies:
     def test_no_guard_identical_decisions(self):
         cfg = SystemConfig(5, 0, 1.0, 50)
-        profile = TrafficProfile.from_rates([2.0, 2.0])
+        rates = (2.0, 2.0)
         sc = SimScenario(
-            config=cfg, profile=profile, arrivals=30_000, seed=3, record_events=True
+            config=cfg, rates=rates, arrivals=30_000, seed=3, record_events=True
         )
         dyn, share = compare_policies(sc)
         assert dyn.events == share.events
@@ -266,16 +264,16 @@ class TestComparePolicies:
     def test_heavy_load_shifts_blocking_to_low_priority(self):
         cfg = SystemConfig(20, 4, 1.0, 50)
         # 3:4:2:1 ratio at heavy load
-        profile = TrafficProfile.from_rates([9.0, 12.0, 6.0, 3.0])
-        sc = SimScenario(config=cfg, profile=profile, arrivals=300_000, seed=5)
+        rates = (9.0, 12.0, 6.0, 3.0)
+        sc = SimScenario(config=cfg, rates=rates, arrivals=300_000, seed=5)
         dyn, share = compare_policies(sc)
         assert dyn.empirical_blocking[0] < share.empirical_blocking[0]
         assert dyn.empirical_blocking[3] > share.empirical_blocking[3]
 
     def test_light_load_utilization_close(self):
         cfg = SystemConfig(20, 4, 1.0, 50)
-        profile = TrafficProfile.from_rates([1.0, 1.0, 1.0, 1.0])
-        sc = SimScenario(config=cfg, profile=profile, arrivals=200_000, seed=5)
+        rates = (1.0, 1.0, 1.0, 1.0)
+        sc = SimScenario(config=cfg, rates=rates, arrivals=200_000, seed=5)
         dyn, share = compare_policies(sc)
         assert abs(dyn.utilization - share.utilization) < 0.01
 
@@ -292,6 +290,13 @@ class TestScenarioValidation:
     def test_bad_arrivals(self):
         with pytest.raises(ValueError):
             small_scenario(arrivals=0)
+
+    @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
+                                       (1e308, 1e308)],
+                             ids=["()", "-0.5", "inf", "nan", "1e308+1e308"])
+    def test_bad_rates_rejected(self, rates):
+        with pytest.raises(ValueError):
+            small_scenario(rates=rates)
 
     def test_replace_policy_keeps_draws_paired(self):
         sc = small_scenario(arrivals=20_000)
