@@ -13,7 +13,6 @@ from .allocator import (
 )
 from .markov import (
     BlockingReport,
-    SteadyState,
     blocking_probabilities,
     erlang_b,
     steady_state,
@@ -27,7 +26,6 @@ __all__ = [
     "ChannelPartition",
     "SimMetrics",
     "SimScenario",
-    "SteadyState",
     "SystemConfig",
     "blocking_probabilities",
     "compare_policies",

@@ -13,9 +13,18 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import markov, vlc
 from .allocator import compute_partition
-from .config import MODES, ConfigError, ExperimentSpec, parse_config, render_manifest
+from .config import (
+    MODES,
+    ConfigError,
+    ExperimentSpec,
+    parse_config,
+    render_manifest,
+    sweep_points,
+)
 from .simulate import SimScenario, compare_policies, run_simulation
 
 
@@ -48,71 +57,58 @@ def _event_sink(fh, rep: int):
     return sink
 
 
-def _rates_for_point(spec: ExperimentSpec, lambda_total: float) -> tuple[float, ...]:
-    ratio = spec.ratio if spec.ratio is not None else spec.rates
-    total = sum(ratio)
-    return tuple(r / total * lambda_total for r in ratio)
+def _partitions(config, rates):
+    """Guard access y_m and limit N_m of every point of a P x M rate grid,
+    as two P x M arrays, from one ``compute_partition`` call per point."""
+    access = np.empty(rates.shape, dtype=int)
+    limits = np.empty(rates.shape, dtype=int)
+    for p in range(len(rates)):
+        partition = compute_partition(config, rates[p].tolist())
+        access[p] = partition.guard_access
+        limits[p] = partition.limits
+    return access, limits
 
 
 def _analytic_point(spec, rates):
-    """Analytic B_m, utilization for the dynamic partition plus the
-    complete-sharing baseline at the same total load."""
+    """Analytic B_m and utilization under the dynamic partition at every
+    point of the rate grid, plus the complete-sharing baseline at the same
+    total load. Returns the guard access, the blocking report, B_sharing and
+    util_sharing, each with one row per point."""
     config = spec.config
-    partition = compute_partition(config, rates)
-    ss = markov.steady_state(config, partition, rates)
-    report = markov.blocking_probabilities(ss, partition)
-    offered = sum(rates) / config.mu
+    access, limits = _partitions(config, rates)
+    report = markov.blocking_probabilities(config, limits, rates)
+    offered = report.offered_load
     b_sharing = markov.erlang_b(config.n_channels, offered)
     util_sharing = offered * (1 - b_sharing) / config.n_channels
-    return partition, report, b_sharing, util_sharing
-
-
-def _sweep_points(spec: ExperimentSpec):
-    """Rate vectors for each sweep point, with the swept value labelled."""
-    if spec.lambda_1_grid is not None:
-        if spec.rates is None:
-            raise ConfigError(
-                "[sweep] lambda_1 sweep needs [traffic] rates for the fixed classes"
-            )
-        fixed = spec.rates[1:]
-        return [("lambda_1", l1, (l1,) + fixed) for l1 in spec.lambda_1_grid]
-    if spec.lambda_total_grid is not None:
-        if spec.ratio is None and spec.rates is None:
-            raise ConfigError("[sweep] lambda_total sweep needs [traffic] ratio or rates")
-        return [
-            ("lambda_T", lt, _rates_for_point(spec, lt)) for lt in spec.lambda_total_grid
-        ]
-    if spec.rates is None:
-        raise ConfigError("[traffic] rates required when no sweep grid is given")
-    rates = spec.rates
-    return [("lambda_T", sum(rates), rates)]
+    return access, report, b_sharing, util_sharing
 
 
 def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
-    points = _sweep_points(spec)
-    m_count = len(points[0][2])
-    blocking_rows, util_rows, partition_rows = [], [], []
-    for _, value, rates in points:
-        partition, report, b_sharing, util_sharing = _analytic_point(spec, rates)
-        lam_t = sum(rates)
-        blocking_rows.append(
-            (lam_t, *report.per_class, report.utilization, b_sharing, util_sharing)
-        )
-        util_rows.append((lam_t, report.utilization, util_sharing))
-        partition_rows.append((value, *partition.guard_access))
-    label = points[0][0]
+    label, values, rates = sweep_points(spec)
+    m_count = rates.shape[1]
+    access, report, b_sharing, util_sharing = _analytic_point(spec, rates)
+    lam_t = markov.total_rate(rates)
+    # rows go to the writer one at a time, converted from the arrays
+    blocking = np.column_stack(
+        (lam_t, report.per_class, report.utilization, b_sharing, util_sharing)
+    )
     _write_csv(
         out / "blocking.csv",
         ["lambda_T"]
         + [f"B_{m}" for m in range(1, m_count + 1)]
         + ["utilization", "B_sharing", "util_sharing"],
-        blocking_rows,
+        map(np.ndarray.tolist, blocking),
     )
-    _write_csv(out / "utilization.csv", ["lambda_T", "utilization", "util_sharing"], util_rows)
+    utilization = np.column_stack((lam_t, report.utilization, util_sharing))
+    _write_csv(
+        out / "utilization.csv",
+        ["lambda_T", "utilization", "util_sharing"],
+        map(np.ndarray.tolist, utilization),
+    )
     _write_csv(
         out / "partition_trace.csv",
         [label] + [f"y_{m}" for m in range(1, m_count + 1)],
-        partition_rows,
+        ((value, *y) for value, y in zip(values, map(np.ndarray.tolist, access))),
     )
 
 
@@ -200,26 +196,29 @@ def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
-    points = _sweep_points(spec)
-    m_count = len(points[0][2])
+    _, _, rates = sweep_points(spec)
+    m_count = rates.shape[1]
+    _, limits = _partitions(spec.config, rates)
+    report = markov.blocking_probabilities(spec.config, limits, rates)
+    lam_t = markov.total_rate(rates).tolist()
     blocking_rows, util_rows = [], []
-    for _, _, rates in points:
-        lam_t = sum(rates)
-        _, report, _, _ = _analytic_point(spec, rates)
+    for p, point in enumerate(rates.tolist()):
+        analytic = report.per_class[p].tolist()
+        analytic_util = float(report.utilization[p])
         for rep in range(spec.replications):
-            metrics = run_simulation(_scenario(spec, rates, spec.seed + rep))
+            metrics = run_simulation(_scenario(spec, point, spec.seed + rep))
             for m in range(m_count):
                 blocking_rows.append(
                     (
-                        lam_t,
+                        lam_t[p],
                         rep,
                         m + 1,
                         metrics.per_class_arrivals[m],
                         metrics.empirical_blocking[m],
-                        report.per_class[m],
+                        analytic[m],
                     )
                 )
-            util_rows.append((lam_t, rep, metrics.utilization, report.utilization))
+            util_rows.append((lam_t[p], rep, metrics.utilization, analytic_util))
     _write_csv(
         out / "blocking.csv",
         ["lambda_T", "replication", "class", "arrivals", "empirical_blocking", "analytic_blocking"],

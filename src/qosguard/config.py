@@ -7,7 +7,10 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .allocator import SystemConfig
+from .markov import total_rate
 from .simulate import POLICY_DYNAMIC, POLICY_SHARING
 from .vlc import OpticalLinkParams
 
@@ -201,9 +204,65 @@ def parse_config(text: str) -> ExperimentSpec:
         )
     except ConfigError as exc:
         errors.append(str(exc))
+    if not errors:
+        errors = _offered_load_errors(spec)
     if errors:
         raise ConfigError("; ".join(errors))
     return spec
+
+
+def sweep_points(spec: ExperimentSpec) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """The analytic sweep as (label, swept value of each point, P x M rate
+    grid), one row per point: a ``lambda_1`` grid over the fixed classes of
+    ``rates``, else a ``lambda_total`` grid split by ``ratio`` (or by
+    ``rates``), else the single point ``rates``."""
+    if spec.lambda_1_grid is not None:
+        if spec.rates is None:
+            raise ConfigError(
+                "[sweep] lambda_1 sweep needs [traffic] rates for the fixed classes"
+            )
+        rates = np.empty((len(spec.lambda_1_grid), len(spec.rates)))
+        rates[:] = spec.rates
+        rates[:, 0] = spec.lambda_1_grid
+        return "lambda_1", spec.lambda_1_grid, rates
+    if spec.lambda_total_grid is not None:
+        ratio = spec.ratio if spec.ratio is not None else spec.rates
+        if ratio is None or not sum(ratio) > 0:
+            raise ConfigError(
+                "[sweep] lambda_total sweep needs [traffic] ratio or rates with a positive sum"
+            )
+        # rate_m = ratio_m / sum(ratio) * lambda_total
+        shares = np.array(ratio) / sum(ratio)
+        return "lambda_T", spec.lambda_total_grid, np.outer(spec.lambda_total_grid, shares)
+    if spec.rates is None:
+        raise ConfigError("[traffic] rates required when no sweep grid is given")
+    return "lambda_T", (sum(spec.rates),), np.array([spec.rates])
+
+
+def _offered_load_errors(spec: ExperimentSpec) -> list[str]:
+    """Every point a mode can run, the rates and each sweep point, needs a
+    finite offered load, total rate x holding time, which finite entries
+    with a finite sum do not ensure."""
+    sources = []
+    if spec.rates is not None:
+        sources.append(("[traffic] rates", np.array([spec.rates])))
+    if spec.lambda_1_grid is not None or spec.lambda_total_grid is not None:
+        key = "lambda_1" if spec.lambda_1_grid is not None else "lambda_total"
+        try:
+            sources.append((f"[sweep] {key}", sweep_points(spec)[2]))
+        except ConfigError:
+            pass  # reported by the mode that runs the sweep
+    errors = []
+    for path, rates in sources:
+        with np.errstate(over="ignore"):
+            offered = total_rate(rates) / spec.config.mu
+        bad = np.flatnonzero(~np.isfinite(offered))
+        if bad.size:
+            errors.append(
+                f"{path}: total rate x holding time overflows at point {bad[0] + 1}, "
+                f"rates {tuple(rates[bad[0]].tolist())}"
+            )
+    return errors
 
 
 def _manifest_value(value) -> str:

@@ -10,7 +10,8 @@ rounding on Python 3.12 and later, the floor rule does not). The
 event-log writer formats every row through ``csv.writer``, field by field.
 The reference simulator is the plain event loop: one heap of every event,
 one draw per scheduled arrival and a full ``compute_partition`` on every
-arrival.
+arrival. The point solver is the analyzer as it ran before it took a grid:
+one point at a time, the Erlang-B recurrence a Python loop over floats.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from qosguard.allocator import _FLOOR_SNAP, compute_partition
-from qosguard.markov import BlockingReport, blocking_probabilities, steady_state
+from qosguard.markov import blocking_probabilities
 from qosguard.simulate import POLICY_DYNAMIC, SimMetrics
 from qosguard.traffic import ArrivalWindow
 
@@ -57,6 +59,52 @@ def dense_steady_state(n: int, mu: float, birth_rate) -> np.ndarray:
     b = np.zeros(n + 1)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+@dataclass(frozen=True)
+class PointReport:
+    per_class: tuple[float, ...]    # B_m
+    utilization: float              # E[occupied] / N
+    offered_load: float             # total rate / mu, in Erlangs
+
+
+def steady_state_point(config, limits, rates) -> np.ndarray:
+    """P_0..P_N of one point, by the log-domain product form on 1-D arrays:
+    the rates binned at their limits, suffix sums from the top, then log,
+    cumsum, a max shift, exp and normalisation."""
+    rates = tuple(float(r) for r in rates)
+    n = config.n_channels
+    at_limit = np.bincount(limits, weights=rates, minlength=n + 1)
+    birth = np.cumsum(at_limit[::-1])[::-1][1:]
+    with np.errstate(divide="ignore"):
+        steps = np.log(birth) - np.log(np.arange(1, n + 1) * config.mu)
+    logw = np.concatenate(([0.0], np.cumsum(steps)))
+    probs = np.exp(logw - logw.max())
+    probs /= probs.sum()
+    return probs
+
+
+def blocking_point(config, limits, rates) -> PointReport:
+    """B_m = sum of P_i over i >= N_m, utilization and offered load of one
+    point, from ``steady_state_point``; the total rate added left to right."""
+    probs = steady_state_point(config, limits, rates)
+    n = config.n_channels
+    total = 0.0
+    for r in rates:
+        total += float(r)
+    return PointReport(
+        per_class=tuple(float(probs[n_m:].sum()) for n_m in limits),
+        utilization=float(np.arange(n + 1) @ probs) / n,
+        offered_load=total / config.mu,
+    )
+
+
+def erlang_b_point(servers: int, offered: float) -> float:
+    """Erlang-B blocking of one load by the recurrence, in Python floats."""
+    b = 1.0
+    for k in range(1, servers + 1):
+        b = offered * b / (k + offered * b)
+    return b
 
 
 def guard_birth_rate(limits, rates):
@@ -294,8 +342,9 @@ def _closed_form_log_weights(config, partition, rates):
     return logw
 
 
-def closed_form_blocking(config, partition, rates, tol: float = 1e-9) -> BlockingReport:
-    """Blocking from the literal closed forms, cross-checked against steady_state.
+def closed_form_blocking(config, partition, rates, tol: float = 1e-9) -> PointReport:
+    """Blocking from the literal closed forms, cross-checked against the
+    library's ``blocking_probabilities``.
 
     Raises TranscriptionDiscrepancy if any B_m differs from the solver's
     result by more than ``tol``.
@@ -313,10 +362,10 @@ def closed_form_blocking(config, partition, rates, tol: float = 1e-9) -> Blockin
     per_class = tuple(float(probs[n_m:].sum()) for n_m in partition.limits)
     utilization = float(np.arange(n + 1) @ probs) / n
 
-    reference = blocking_probabilities(steady_state(config, partition, rates), partition)
-    if any(abs(a - b) > tol for a, b in zip(per_class, reference.per_class)):
-        raise TranscriptionDiscrepancy(per_class, reference.per_class)
-    return BlockingReport(
+    reference = blocking_probabilities(config, [partition.limits], [rates]).per_class[0]
+    if any(abs(a - b) > tol for a, b in zip(per_class, reference)):
+        raise TranscriptionDiscrepancy(per_class, reference)
+    return PointReport(
         per_class=per_class,
         utilization=utilization,
         offered_load=sum(rates) / config.mu,

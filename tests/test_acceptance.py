@@ -45,9 +45,9 @@ def test_criterion_1_erlang_b_degeneration():
         lam_t = load * MU
         rates = (lam_t / 4,) * 4
         part = compute_partition(cfg, rates)
-        rep = blocking_probabilities(steady_state(cfg, part, rates), part)
+        rep = blocking_probabilities(cfg, [part.limits], [rates])
         expected = erlang_b(100, load)
-        worst = max(worst, max(abs(b - expected) for b in rep.per_class))
+        worst = max(worst, max(abs(b - expected) for b in rep.per_class[0]))
     elapsed = time.perf_counter() - t0
     _report(1, worst < 1e-9 and elapsed < 1.0,
             f"max |B_m - ErlangB| = {worst:.2e}, {elapsed:.2f}s")
@@ -66,11 +66,11 @@ def test_criterion_2_small_chain_oracle():
         rates = tuple(float(r) for r in rng.uniform(0.1, float(n), size=m))
         cfg = SystemConfig(n, gamma, 1.0, 100)
         part = compute_partition(cfg, rates)
-        ss = steady_state(cfg, part, rates)
+        probs = steady_state(cfg, [part.limits], [rates])[0]
         oracle = dense_steady_state(n, 1.0, guard_birth_rate(part.limits, rates))
-        worst_state = max(worst_state, float(np.max(np.abs(ss.probs - oracle))))
-        rep = blocking_probabilities(ss, part)
-        for b, n_m in zip(rep.per_class, part.limits):
+        worst_state = max(worst_state, float(np.max(np.abs(probs - oracle))))
+        rep = blocking_probabilities(cfg, [part.limits], [rates])
+        for b, n_m in zip(rep.per_class[0], part.limits):
             worst_block = max(worst_block, abs(b - oracle[n_m:].sum()))
         cases += 1
     elapsed = time.perf_counter() - t0
@@ -83,9 +83,9 @@ def test_criterion_3_worked_instance():
     t0 = time.perf_counter()
     cfg = SystemConfig(3, 1, 1.0, 100)
     part = compute_partition(cfg, (1.0, 1.0))
-    rep = blocking_probabilities(steady_state(cfg, part, (1.0, 1.0)), part)
+    rep = blocking_probabilities(cfg, [part.limits], [(1.0, 1.0)])
     analytic_ok = (
-        abs(rep.per_class[0] - 2 / 17) < 1e-12 and abs(rep.per_class[1] - 8 / 17) < 1e-12
+        abs(rep.per_class[0][0] - 2 / 17) < 1e-12 and abs(rep.per_class[0][1] - 8 / 17) < 1e-12
     )
 
     metrics = run_simulation(
@@ -104,7 +104,7 @@ def test_criterion_3_worked_instance():
         sim_ok &= abs(metrics.empirical_blocking[m] - expected) < 3 * se
     elapsed = time.perf_counter() - t0
     _report(3, analytic_ok and sim_ok and elapsed < 30.0,
-            f"analytic B=({rep.per_class[0]:.6f},{rep.per_class[1]:.6f}), "
+            f"analytic B=({rep.per_class[0][0]:.6f},{rep.per_class[0][1]:.6f}), "
             f"simulated B={tuple(round(b, 4) for b in metrics.empirical_blocking)}, "
             f"{elapsed:.1f}s")
 
@@ -122,7 +122,7 @@ def test_criterion_4_simulation_analysis_agreement_paper_scale():
         lam_t = load * MU
         rates = (lam_t / 4,) * 4
         part = compute_partition(cfg, rates)
-        rep = blocking_probabilities(steady_state(cfg, part, rates), part)
+        rep = blocking_probabilities(cfg, [part.limits], [rates])
         runs = [
             run_simulation(
                 SimScenario(
@@ -139,13 +139,13 @@ def test_criterion_4_simulation_analysis_agreement_paper_scale():
             emp = np.array([r.empirical_blocking[m] for r in runs])
             n_total = sum(r.per_class_arrivals[m] for r in runs)
             se = emp.std(ddof=1) / math.sqrt(reps)
-            floor = math.sqrt(max(rep.per_class[m], 1e-12) / n_total)
+            floor = math.sqrt(max(rep.per_class[0][m], 1e-12) / n_total)
             se = max(se, floor)
-            if abs(emp.mean() - rep.per_class[m]) >= 3 * se:
+            if abs(emp.mean() - rep.per_class[0][m]) >= 3 * se:
                 ok = False
                 details.append(f"load {load} class {m + 1} blocking off")
         util = np.mean([r.utilization for r in runs])
-        util_err = abs(util - rep.utilization)
+        util_err = abs(util - rep.utilization[0])
         if util_err >= 0.01:
             ok = False
             details.append(f"load {load} utilization off by {util_err:.4f}")
@@ -165,15 +165,15 @@ def test_criterion_5_figure_shape_claims():
             total = sum(ratio)
             rates = tuple(lam_t * f / total for f in ratio)
             part = compute_partition(cfg, rates)
-            rep = blocking_probabilities(steady_state(cfg, part, rates), part)
-            if not all(a <= b + 1e-15 for a, b in zip(rep.per_class, rep.per_class[1:])):
+            rep = blocking_probabilities(cfg, [part.limits], [rates])
+            if not all(a <= b + 1e-15 for a, b in zip(rep.per_class[0], rep.per_class[0][1:])):
                 ok = False
                 details.append(f"{ratio}@{load}: blocking not monotone")
             b_sharing = erlang_b(100, load)
-            if load >= 100 and not rep.per_class[0] < b_sharing:
+            if load >= 100 and not rep.per_class[0][0] < b_sharing:
                 ok = False
                 details.append(f"{ratio}@{load}: B_1 not below sharing")
-            occ = rep.utilization * 100
+            occ = rep.utilization[0] * 100
             low = load * (1 - erlang_b(90, load))
             high = load * (1 - erlang_b(100, load))
             if not (low - 1e-9 <= occ <= high + 1e-9):

@@ -47,6 +47,16 @@ BAD_FIELDS = [
     ("analyze", "[sweep]\nlambda_total = -1, 0.5", [], "[sweep] lambda_total"),
     ("analyze", "[sweep]\nlambda_total = 0.5, nan", [], "[sweep] lambda_total"),
     ("analyze", "[sweep]\nlambda_1 = -0.1, 0.3", [], "[sweep] lambda_1"),
+    # every entry finite, but total rate x holding time overflows
+    ("analyze", "[system]\nholding_time = 1e308\n[traffic]\nrates = 1, 1", [], "[traffic] rates"),
+    ("analyze", "[traffic]\nrates = 1e308, 7e307\n[sweep]\nlambda_1 = 1e308", [],
+     "[sweep] lambda_1"),
+    ("analyze", "[traffic]\nrates = 1, 1e306\n[sweep]\nlambda_1 = 1, 1e306", [],
+     "[sweep] lambda_1"),
+    ("analyze", "[sweep]\nlambda_total = 1, 1e307", [], "[sweep] lambda_total"),
+    # rates used as the ratio of a lambda_total sweep need a positive sum
+    ("analyze", "[traffic]\nrates = 0, 0\n[sweep]\nlambda_total = 1, 2", [],
+     "[sweep] lambda_total"),
     ("simulate", "[simulation]\narrivals = 0", [], "[simulation] arrivals"),
     ("simulate", "[simulation]\nwarmup = 1.0", [], "[simulation] warmup"),
     ("simulate", "[simulation]\npolicy = greedy", [], "[simulation] policy"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import run_simulation_reference
 from qosguard import simulate
 from qosguard.allocator import SystemConfig, compute_partition
-from qosguard.markov import blocking_probabilities, erlang_b, steady_state
+from qosguard.markov import blocking_probabilities, erlang_b
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 50)
@@ -37,13 +37,11 @@ class TestRunSimulation:
     def test_small_chain_matches_analysis(self):
         metrics = run_simulation(small_scenario())
         part = compute_partition(SMALL_CFG, SMALL_RATES)
-        rep = blocking_probabilities(
-            steady_state(SMALL_CFG, part, SMALL_RATES), part
-        )
+        per_class = blocking_probabilities(SMALL_CFG, [part.limits], [SMALL_RATES]).per_class[0]
         for m in range(2):
             n = metrics.per_class_arrivals[m]
-            se = binom_se(rep.per_class[m], n)
-            assert abs(metrics.empirical_blocking[m] - rep.per_class[m]) < 3 * se
+            se = binom_se(per_class[m], n)
+            assert abs(metrics.empirical_blocking[m] - per_class[m]) < 3 * se
 
     def test_complete_sharing_matches_erlang_b(self):
         cfg = SystemConfig(10, 0, 1.0, 50)
