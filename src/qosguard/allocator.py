@@ -8,9 +8,10 @@ admitted iff the occupancy is below its limit N_m.
 
 The floor rule y_m = floor(X_m + ... + X_M) is generated once per class
 count M and guard pool Gamma as straight-line code and cached: the
-simulator's dynamic policy evaluates it on every arrival, and
-``compute_partition`` evaluates the same function. An all-zero rate vector
-has no proportional split: ``compute_partition`` gives it the equal one.
+simulator's dynamic policy evaluates it on numpy columns, one row per
+arrival, and ``compute_partition`` evaluates the same code on floats. An
+all-zero rate vector has no proportional split: ``compute_partition`` gives
+it the equal one.
 """
 
 from __future__ import annotations
@@ -58,13 +59,15 @@ class ChannelPartition:
 
 
 @functools.lru_cache(maxsize=64)
-def floor_rule(m_count: int, gamma: int):
+def floor_rule(m_count: int, gamma: int, floor=math.floor):
     """The function ``(r_1, ..., r_M) -> (y_1, ..., y_M)`` for ``m_count``
     classes and a guard pool of ``gamma`` channels, unrolled.
 
     It computes total = r_1 + ... + r_M, X_m = r_m / total * gamma and
     y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to right: the
     same float operations in the same order as a loop over the shares.
+    With ``floor=np.floor`` the same code runs on numpy columns, one row per
+    rate vector, and gives each y_m as a float column of the same values.
     Does no validation: the rates must be finite and non-negative with a
     positive sum. ``compute_partition`` checks them first; the simulator's
     window estimates satisfy this by construction.
@@ -77,7 +80,7 @@ def floor_rule(m_count: int, gamma: int):
     lines += [f"    {x[i]} = {r[i]} / total * gamma" for i in range(m_count)]
     floors = [f"floor({' + '.join(x[i:])} + {_FLOOR_SNAP!r})" for i in range(m_count)]
     lines.append(f"    return ({', '.join(floors)},)")
-    namespace = {"floor": math.floor, "gamma": gamma}
+    namespace = {"floor": floor, "gamma": gamma}
     exec("\n".join(lines), namespace)
     return namespace["rule"]
 

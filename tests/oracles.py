@@ -9,9 +9,11 @@ every sum an explicit left-to-right loop (builtin ``sum`` compensates float
 rounding on Python 3.12 and later, the floor rule does not). The
 event-log writer formats every row through ``csv.writer``, field by field.
 The reference simulator is the plain event loop: one heap of every event,
-one draw per scheduled arrival and a full ``compute_partition`` on every
-arrival. The point solver is the analyzer as it ran before it took a grid:
-one point at a time, the Erlang-B recurrence a Python loop over floats.
+one draw per scheduled arrival, the window estimator one arrival at a time
+(``ArrivalWindowReference``, the running sum updated gap by gap) and a full
+``compute_partition`` on every arrival. The point solver is the analyzer as
+it ran before it took a grid: one point at a time, the Erlang-B recurrence a
+Python loop over floats.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +30,6 @@ import numpy as np
 from qosguard.allocator import _FLOOR_SNAP, compute_partition
 from qosguard.markov import blocking_probabilities
 from qosguard.simulate import POLICY_DYNAMIC, SimMetrics
-from qosguard.traffic import ArrivalWindow
 
 
 class TranscriptionDiscrepancy(Exception):
@@ -156,6 +158,49 @@ def guard_floors_reference(rates, gamma: int) -> tuple[int, ...]:
     return tuple(floors)
 
 
+class ArrivalWindowReference:
+    """``traffic.ArrivalWindow`` one arrival at a time: the window is a
+    deque, and its running sum adds each gap, then subtracts the gap it
+    evicts, and is re-summed left to right every ``RESYNC_EVERY`` arrivals."""
+
+    RESYNC_EVERY = 4096
+
+    def __init__(self, class_index: int, capacity: int):
+        self.class_index = class_index
+        self.capacity = capacity
+        self.gaps: deque[float] = deque()
+        self.last_arrival: float | None = None
+        self._gap_sum = 0.0
+        self._records = 0
+
+    def record_arrival(self, t: float) -> None:
+        last = self.last_arrival
+        if last is not None:
+            if t <= last:
+                raise ValueError(
+                    f"arrival timestamps must be strictly increasing: {t} <= {last}"
+                )
+            gap = t - last
+            self.gaps.append(gap)
+            self._gap_sum += gap
+            if len(self.gaps) > self.capacity:
+                self._gap_sum -= self.gaps.popleft()
+        self.last_arrival = t
+        self._records += 1
+        if self._records % self.RESYNC_EVERY == 0:
+            total = 0.0
+            for g in self.gaps:
+                total += g
+            self._gap_sum = total
+
+    def estimate_rate(self) -> float:
+        return len(self.gaps) / self._gap_sum
+
+    @property
+    def has_estimate(self) -> bool:
+        return bool(self.gaps)
+
+
 def write_events_reference(path, per_rep_events) -> None:
     """``events.csv`` as the CLI wrote it when it held every event: a
     ``csv.writer`` row per event, floats as ``.9g`` and other fields by
@@ -191,7 +236,7 @@ def run_simulation_reference(scenario) -> SimMetrics:
     seeds = np.random.SeedSequence(scenario.seed).spawn(2 * m_count)
     arrival_rngs = [np.random.default_rng(seeds[m]) for m in range(m_count)]
     holding_rngs = [np.random.default_rng(seeds[m_count + m]) for m in range(m_count)]
-    windows = [ArrivalWindow(m + 1, config.window_n) for m in range(m_count)]
+    windows = [ArrivalWindowReference(m + 1, config.window_n) for m in range(m_count)]
 
     def draw(rng, mean):
         return float(rng.exponential(mean))

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
-from qosguard.allocator import SystemConfig, compute_partition, guard_floors
+from qosguard.allocator import SystemConfig, compute_partition, floor_rule, guard_floors
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -51,6 +52,17 @@ class TestGuardFloors:
     @given(rates=rate_vectors, gamma=st.integers(min_value=0, max_value=200))
     def test_matches_reference(self, rates, gamma):
         assert guard_floors(rates, gamma) == guard_floors_reference(rates, gamma)
+
+    # the simulator runs the rule on numpy columns, one rate vector per row
+    @given(m_count=st.integers(min_value=1, max_value=6), data=st.data(),
+           gamma=st.integers(min_value=0, max_value=200))
+    def test_columns_match_vectors(self, m_count, data, gamma):
+        vector = st.lists(st.floats(min_value=0.0, max_value=100.0),
+                          min_size=m_count, max_size=m_count).filter(lambda v: sum(v) > 1e-6)
+        rows = data.draw(st.lists(vector, min_size=1, max_size=20))
+        columns = floor_rule(m_count, gamma, np.floor)(*np.array(rows).T)
+        got = [tuple(row) for row in np.array(columns).T.astype(int).tolist()]
+        assert got == [guard_floors(row, gamma) for row in rows]
 
     # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
     # integer sum(k[i:]), the case where floats land a few ulps low

@@ -1,7 +1,9 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_simulate import _ZeroGapRng
 
 from qosguard import cli
 from qosguard.cli import main
@@ -244,6 +246,17 @@ class TestCliModes:
         assert not (out / "events.csv").exists()
         assert len(results) == 2
         assert all(metrics.events is None for metrics in results)
+
+    def test_runtime_fault_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one 0.0 arrival gap repeats an arrival time, which the window
+        # estimator rejects at run time
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _ZeroGapRng(default_rng(seed)))
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[traffic]\nrates = 0.3,0.3\n[simulation]\narrivals = 2000\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.ini")]) == 2

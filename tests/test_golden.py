@@ -154,11 +154,15 @@ def test_sweep_csv_digests(tmp_path, name):
     assert csv_digests(tmp_path, text, "sweep") == expected
 
 
-def test_exp_stream_chunk_size_does_not_change_draws(monkeypatch):
-    seed = np.random.SeedSequence(123).spawn(3)[2]
-    streams = {}
+def test_holding_draws_chunk_size_does_not_change_draws(monkeypatch):
+    # a class's holding times come in chunks with its arrival gaps; at any
+    # chunk size they are the generator's one-at-a-time draws
+    arrival_seed, _, hold_seed = np.random.SeedSequence(123).spawn(3)
+    one_at_a_time = np.random.default_rng(hold_seed)
+    expected = [float(one_at_a_time.exponential(2.5)) for _ in range(20_000)]
     for chunk in (512, 8192):
         monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
-        stream = simulate._ExpStream(seed, 2.5)
-        streams[chunk] = [stream.next() for _ in range(20_000)]
-    assert streams[512] == streams[8192]
+        stream = simulate._ClassStream(0, 1.0, arrival_seed, hold_seed, 2.5, None)
+        while len(stream.holds) < 20_000:
+            stream.refill()
+        assert stream.holds[:20_000].tolist() == expected

@@ -176,9 +176,29 @@ class _QuantisedRng:
         return np.floor(self.rng.exponential(scale, size) * 4) / 4 + 0.25
 
 
-def _quantise_draws(patch):
+class _ZeroGapRng:
+    """A generator whose first chunk of exponential draws holds a 0.0 at
+    index 5, so an arrival stream drawn from it repeats an arrival time."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = False
+
+    def exponential(self, scale, size=None):
+        draws = self.rng.exponential(scale, size)
+        if not self.drawn:
+            draws[5] = 0.0
+            self.drawn = True
+        return draws
+
+
+def _wrap_draws(patch, wrapper):
     default_rng = np.random.default_rng
-    patch.setattr(np.random, "default_rng", lambda seed: _QuantisedRng(default_rng(seed)))
+    patch.setattr(np.random, "default_rng", lambda seed: wrapper(default_rng(seed)))
+
+
+def _quantise_draws(patch):
+    _wrap_draws(patch, _QuantisedRng)
 
 
 @st.composite
@@ -234,6 +254,16 @@ class TestMatchesReferenceLoop:
         assert len(tied) > 100
         assert asdict(metrics) == asdict(run_simulation_reference(scenario))
 
+    def test_quantised_draws_reach_every_draw(self, monkeypatch):
+        # every arrival gap and holding time comes from a patched generator:
+        # each event time is then a sum of quarters
+        _quantise_draws(monkeypatch)
+        metrics = run_simulation(SimScenario(config=SystemConfig(4, 1, 1.0, 10),
+                                             rates=(2.0, 0.0, 1.0),
+                                             arrivals=3000, seed=5, record_events=True))
+        assert any(ev[1] == "departure" for ev in metrics.events)
+        assert all((ev[0] * 4).is_integer() for ev in metrics.events)
+
     @pytest.mark.parametrize("policy,bypass", [("dynamic", False), ("dynamic", True),
                                                ("sharing", False)])
     def test_chunk_size_does_not_change_the_run(self, monkeypatch, policy, bypass):
@@ -247,6 +277,16 @@ class TestMatchesReferenceLoop:
             monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
             runs[chunk] = asdict(run_simulation(scenario))
         assert runs[1] == runs[7] == runs[128] == runs[512]
+
+
+class TestRuntimeFaults:
+    def test_repeated_arrival_time_raises(self, monkeypatch):
+        # the window estimator needs strictly increasing arrival times
+        _wrap_draws(monkeypatch, _ZeroGapRng)
+        scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30), rates=(9.0, 12.0),
+                               arrivals=2000, seed=1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_simulation(scenario)
 
 
 class TestComparePolicies:
