@@ -9,7 +9,8 @@ admitted iff the occupancy is below its limit N_m.
 The floor rule y_m = floor(X_m + ... + X_M) is generated once per class
 count M and guard pool Gamma as straight-line code and cached: the
 simulator's dynamic policy evaluates it on numpy columns, one row per
-arrival, and ``compute_partition`` evaluates the same code on floats. An
+arrival, the CLI's analytic sweep on one row per sweep point, and
+``compute_partition`` evaluates the same code on floats. An
 all-zero rate vector has no proportional split: ``compute_partition`` gives
 it the equal one.
 """
@@ -70,7 +71,8 @@ def floor_rule(m_count: int, gamma: int, floor=math.floor):
     rate vector, and gives each y_m as a float column of the same values.
     Does no validation: the rates must be finite and non-negative with a
     positive sum. ``compute_partition`` checks them first; the simulator's
-    window estimates satisfy this by construction.
+    window estimates satisfy this by construction, and the CLI's sweep grid
+    is checked by ``parse_config`` and has its all-zero rows replaced.
     """
     if m_count < 1:
         raise ValueError(f"need at least one class, got {m_count}")

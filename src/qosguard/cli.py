@@ -7,16 +7,17 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import markov, vlc
-from .allocator import compute_partition
+from .allocator import floor_rule
 from .config import (
     MODES,
     ConfigError,
@@ -28,45 +29,51 @@ from .config import (
 from .simulate import SimScenario, compare_policies, run_simulation
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
+# rows per ``%`` operation: the writer holds one block's text at a time
+_ROW_BLOCK = 4096
+
+
+def _write_rows(write, row_format: str, rows) -> None:
+    """Write ``rows`` with ``write``, each row formatted by ``row_format``,
+    one ``%`` operation per block of at most ``_ROW_BLOCK`` rows."""
+    rows = iter(rows)
+    while block := list(islice(rows, _ROW_BLOCK)):
+        write((row_format * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV with ``\r\n`` line
+    ends and no quoting, since no field holds a comma, a quote or a line
+    break. A float (numpy's included) is written as ``.9g`` and any other
+    value by ``str``; the first row's value types set each column's format,
+    so every column must hold one type."""
+    rows = iter(rows)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        first = next(rows, None)
+        if first is not None:
+            row_format = ",".join(
+                "%.9g" if isinstance(v, float) else "%s" for v in first
+            ) + "\r\n"
+            _write_rows(fh.write, row_format, chain((first,), rows))
 
 
 def _event_sink(fh, rep: int):
-    """Write each event batch of replication ``rep`` to ``fh`` in one call.
-    The rows are the bytes ``_write_csv`` would give: ``.9g`` times, ``\r\n``
-    line ends and no quoting, since no field holds a comma or a quote."""
-    write = fh.write
-
-    def sink(batch) -> None:
-        write("".join([
-            f"{rep},{t:.9g},{kind},{cls},{decision},{occ}\r\n"
-            for t, kind, cls, decision, occ in batch
-        ]))
-
-    return sink
+    """Write each event batch of replication ``rep`` to ``fh`` as
+    ``_write_csv`` would: ``.9g`` times and every other field by ``str``."""
+    return partial(_write_rows, fh.write, f"{rep},%.9g,%s,%s,%s,%s\r\n")
 
 
 def _partitions(config, rates):
     """Guard access y_m and limit N_m of every point of a P x M rate grid,
-    as two P x M arrays, from one ``compute_partition`` call per point."""
-    access = np.empty(rates.shape, dtype=int)
-    limits = np.empty(rates.shape, dtype=int)
-    for p in range(len(rates)):
-        partition = compute_partition(config, rates[p].tolist())
-        access[p] = partition.guard_access
-        limits[p] = partition.limits
-    return access, limits
+    as two P x M int arrays, from one run of the allocator's floor rule on
+    the grid's columns. An all-zero row gets the equal split, as in
+    ``compute_partition``. ``parse_config`` has checked the grid: every
+    entry is finite and >= 0, and every offered load is finite."""
+    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0)
+    columns = floor_rule(rates.shape[1], config.guard, np.floor)(*rates.T)
+    access = np.array(columns, dtype=int).T
+    return access, access + (config.n_channels - config.guard)
 
 
 def _analytic_point(spec, rates):
@@ -88,7 +95,7 @@ def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
     m_count = rates.shape[1]
     access, report, b_sharing, util_sharing = _analytic_point(spec, rates)
     lam_t = markov.total_rate(rates)
-    # rows go to the writer one at a time, converted from the arrays
+    # rows go to the writer a block at a time, converted from the arrays
     blocking = np.column_stack(
         (lam_t, report.per_class, report.utilization, b_sharing, util_sharing)
     )

@@ -7,7 +7,7 @@ uses exact rational arithmetic. The guard-floor reference keeps the
 per-class arithmetic that the allocator's unrolled floor rule replaced, with
 every sum an explicit left-to-right loop (builtin ``sum`` compensates float
 rounding on Python 3.12 and later, the floor rule does not). The
-event-log writer formats every row through ``csv.writer``, field by field.
+CSV writer formats every row through ``csv.writer``, field by field.
 The reference simulator is the plain event loop: one heap of every event,
 one draw per scheduled arrival, the window estimator one arrival at a time
 (``ArrivalWindowReference``, the running sum updated gap by gap) and a full
@@ -201,18 +201,26 @@ class ArrivalWindowReference:
         return bool(self.gaps)
 
 
-def write_events_reference(path, per_rep_events) -> None:
-    """``events.csv`` as the CLI wrote it when it held every event: a
-    ``csv.writer`` row per event, floats as ``.9g`` and other fields by
-    ``str``. ``per_rep_events`` holds one event list per replication."""
+def write_csv_reference(path, header, rows) -> None:
+    """A CSV as the CLI wrote it before it formatted rows in blocks: a
+    ``csv.writer`` row per row, floats as ``.9g`` and other values by
+    ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["replication", "time", "kind", "class", "decision", "occupied_after"])
-        for rep, events in enumerate(per_rep_events):
-            for event in events:
-                writer.writerow(
-                    [f"{v:.9g}" if isinstance(v, float) else str(v) for v in (rep, *event)]
-                )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
+
+
+def write_events_reference(path, per_rep_events) -> None:
+    """``events.csv`` as the CLI wrote it when it held every event, by
+    ``write_csv_reference``. ``per_rep_events`` holds one event list per
+    replication."""
+    write_csv_reference(
+        path,
+        ["replication", "time", "kind", "class", "decision", "occupied_after"],
+        ((rep, *event) for rep, events in enumerate(per_rep_events) for event in events),
+    )
 
 
 def run_simulation_reference(scenario) -> SimMetrics:

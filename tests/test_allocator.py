@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
+from qosguard import cli
 from qosguard.allocator import SystemConfig, compute_partition, floor_rule, guard_floors
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
@@ -78,6 +79,42 @@ class TestGuardFloors:
         exact = tuple(sum(ks[i:]) for i in range(len(ks)))
         assert guard_floors(rates, gamma) == exact
         assert guard_floors_reference(rates, gamma) == exact
+
+
+class TestSweepPartitions:
+    # the CLI runs the floor rule on the columns of a whole sweep grid;
+    # row by row it must give compute_partition's guard access and limits
+    @staticmethod
+    def check(rows, gamma):
+        config = SystemConfig(max(2 * gamma, 1), gamma, 1.0, 10)
+        access, limits = cli._partitions(config, np.array(rows, dtype=float))
+        expected = [compute_partition(config, row) for row in rows]
+        assert access.dtype.kind == limits.dtype.kind == "i"
+        assert access.tolist() == [list(p.guard_access) for p in expected]
+        assert limits.tolist() == [list(p.limits) for p in expected]
+
+    # rate-0 classes, all-zero rows, subnormals and rates far from 1
+    @given(m_count=st.integers(min_value=1, max_value=6), data=st.data(),
+           gamma=st.integers(min_value=0, max_value=200))
+    def test_matches_compute_partition(self, m_count, data, gamma):
+        rate = st.just(0.0) | st.floats(min_value=0.0, max_value=100.0) | st.floats(
+            min_value=0.0, max_value=1e150)
+        row = st.lists(rate, min_size=m_count, max_size=m_count)
+        rows = data.draw(st.lists(row | st.just([0.0] * m_count), min_size=1, max_size=20))
+        self.check(rows, gamma)
+
+    # the k/10 vectors of TestGuardFloors.test_floor_boundaries, whose float
+    # suffix sums land on integers, in one grid with an all-zero row
+    @given(ks=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
+           .filter(lambda ks: sum(ks) > 0))
+    @example(ks=[7, 3])
+    @example(ks=[3, 1])
+    @example(ks=[1, 2, 3])
+    @example(ks=[3, 4, 2, 1])
+    @example(ks=[5])
+    def test_floor_boundaries(self, ks):
+        rows = [[k / 10 for k in ks], [0.0] * len(ks), [k / 10 for k in reversed(ks)]]
+        self.check(rows, sum(ks))
 
 
 class TestComputePartition:

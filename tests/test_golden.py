@@ -4,7 +4,9 @@ digests byte for byte. They were recorded before the event loop's fast path
 speed-up that changes a single draw, decision or formatted digit fails here.
 
 The `analyze` and `sweep` digests were recorded with the one-point-at-a-time
-analyzer, before it solved the whole sweep as one grid.
+analyzer, before it solved the whole sweep as one grid. The `compare` and
+`vlc-link` digests were recorded while every CSV row still went through
+`csv.writer` one value at a time, before rows were formatted in blocks.
 """
 
 import hashlib
@@ -124,6 +126,49 @@ SWEEP_GOLDEN = {
     ),
 }
 
+COMPARE_GOLDEN = {
+    "compare-2-reps": (
+        "[system]\nchannels = 20\nguard = 4\nholding_time = 1\nwindow = 30\n"
+        "[traffic]\nrates = 9, 12, 6, 3\n"
+        "[simulation]\narrivals = 6000\nreplications = 2\nseed = 6\n",
+        {
+            "blocking.csv": "f3538e9f4ece3d51ab82031047ca84720241a7364548545ce2489a0efd179b21",
+            "utilization.csv": "83f6a274436f6f77cf5e5cc5c91fa9cba0c1a8ccc04d8b0e222909c9e36725ba",
+        },
+    ),
+}
+
+_BANDS_DIGEST = "3233fb5e2616013fc84fa7bc679da5f35e3ecbb913b99081cf42e417d40ab06e"
+
+VLC_GOLDEN = {
+    "default-link": (
+        "[vlc]\n",
+        {
+            "color_bands.csv": _BANDS_DIGEST,
+            "link_budget.csv": "2a001ae0ce7b4c74788f399011113bfaff7756cf67bd3f6ddaded7b682c09888",
+        },
+    ),
+    # every entry moved off its default
+    "off-axis": (
+        "[vlc]\nhalf_power_angle = 30\ndetector_area = 1e-5\ndistance = 1.25\n"
+        "irradiance_angle = 15\nincidence_angle = 20\nfilter_coeff = 0.8\n"
+        "refractive_index = 1.7\ntransmit_power = 2.5\n",
+        {
+            "color_bands.csv": _BANDS_DIGEST,
+            "link_budget.csv": "fd28d069df68d9e0a1c0f75b9e4c3ec974a3e0fe952d00f80911e6d67a19b972",
+        },
+    ),
+    # the receiver is outside the field of view: gain and power are 0
+    "outside-fov": (
+        "[vlc]\nhalf_power_angle = 45\ndistance = 3.5\nincidence_angle = 70\n"
+        "fov = 60\ntransmit_power = 0\n",
+        {
+            "color_bands.csv": _BANDS_DIGEST,
+            "link_budget.csv": "cc464a1a9ce73257701c46f901a1e22bed0ddcc82473265b635e8e2a1f112bbc",
+        },
+    ),
+}
+
 
 def csv_digests(tmp_path, text, mode="simulate") -> dict[str, str]:
     cfg = tmp_path / "golden.ini"
@@ -152,6 +197,18 @@ def test_analyze_csv_digests(tmp_path, name):
 def test_sweep_csv_digests(tmp_path, name):
     text, expected = SWEEP_GOLDEN[name]
     assert csv_digests(tmp_path, text, "sweep") == expected
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_GOLDEN))
+def test_compare_csv_digests(tmp_path, name):
+    text, expected = COMPARE_GOLDEN[name]
+    assert csv_digests(tmp_path, text, "compare") == expected
+
+
+@pytest.mark.parametrize("name", sorted(VLC_GOLDEN))
+def test_vlc_link_csv_digests(tmp_path, name):
+    text, expected = VLC_GOLDEN[name]
+    assert csv_digests(tmp_path, text, "vlc-link") == expected
 
 
 def test_holding_draws_chunk_size_does_not_change_draws(monkeypatch):
