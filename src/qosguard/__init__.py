@@ -5,12 +5,7 @@ discrete-event simulator with online arrival-rate estimation, and a VLC
 optical-channel companion.
 """
 
-from .allocator import (
-    ChannelPartition,
-    SystemConfig,
-    compute_partition,
-    guard_floors,
-)
+from .allocator import ChannelPartition, SystemConfig, compute_partition
 from .markov import (
     BlockingReport,
     blocking_probabilities,
@@ -31,7 +26,6 @@ __all__ = [
     "compare_policies",
     "compute_partition",
     "erlang_b",
-    "guard_floors",
     "run_simulation",
     "steady_state",
 ]

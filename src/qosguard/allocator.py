@@ -87,13 +87,6 @@ def floor_rule(m_count: int, gamma: int, floor=math.floor):
     return namespace["rule"]
 
 
-def guard_floors(rates, gamma: int) -> tuple[int, ...]:
-    """y_m = floor(X_m + ... + X_M) for every class m, where
-    X_m = rate_m / total * gamma, by ``floor_rule``. Does no validation."""
-    rates = tuple(rates)
-    return floor_rule(len(rates), gamma)(*rates)
-
-
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     """Per-class partition (y_m, N_m) for the given rate vector. The rates
     must be finite and non-negative with a finite sum; an all-zero vector

@@ -133,15 +133,6 @@ def _scenario(spec: ExperimentSpec, rates, seed: int, record_events: bool = Fals
     )
 
 
-def _sim_rows(metrics, m_count):
-    blocking = [
-        (m + 1, metrics.per_class_arrivals[m], metrics.per_class_blocks[m],
-         metrics.empirical_blocking[m])
-        for m in range(m_count)
-    ]
-    return blocking
-
-
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
     if spec.rates is None:
         raise ConfigError("[traffic] rates required for simulate mode")
@@ -160,8 +151,11 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
             metrics = run_simulation(
                 _scenario(spec, rates, spec.seed + rep, spec.events), on_events=sink
             )
-            for cls, arr, blk, emp in _sim_rows(metrics, m_count):
-                blocking_rows.append((rep, cls, arr, blk, emp))
+            blocking_rows += [
+                (rep, m + 1, metrics.per_class_arrivals[m], metrics.per_class_blocks[m],
+                 metrics.empirical_blocking[m])
+                for m in range(m_count)
+            ]
             util_rows.append((rep, metrics.utilization, metrics.duration))
             for rec in metrics.partition_trace:
                 partition_rows.append((rep, *rec))
@@ -187,8 +181,11 @@ def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
     for rep in range(spec.replications):
         dyn, share = compare_policies(_scenario(spec, rates, spec.seed + rep))
         for policy, metrics in (("dynamic", dyn), ("sharing", share)):
-            for cls, arr, blk, emp in _sim_rows(metrics, m_count):
-                blocking_rows.append((rep, policy, cls, arr, blk, emp))
+            blocking_rows += [
+                (rep, policy, m + 1, metrics.per_class_arrivals[m],
+                 metrics.per_class_blocks[m], metrics.empirical_blocking[m])
+                for m in range(m_count)
+            ]
             util_rows.append((rep, policy, metrics.utilization, metrics.duration))
     _write_csv(
         out / "blocking.csv",

@@ -1,11 +1,17 @@
 """Experiment configuration: flat INI-style key/value files with one section
-per concern, validated into an ExperimentSpec with field-path diagnostics."""
+per concern, validated into an ExperimentSpec with field-path diagnostics.
+
+``KEYS`` describes every key once. The known keys, the reads, the field paths
+of the errors and the manifest lines all come from it."""
 
 from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,81 +22,12 @@ from .vlc import OpticalLinkParams
 
 MODES = ("analyze", "simulate", "compare", "sweep", "vlc-link")
 
-# paper-scale defaults: 100 channels, guard pool 10, 120 s mean holding time,
-# 100-gap estimator windows
-DEFAULT_CHANNELS = 100
-DEFAULT_GUARD = 10
+# a 120 s mean holding time unless [system] gives mu or holding_time
 DEFAULT_HOLDING_TIME = 120.0
-DEFAULT_WINDOW = 100
 
 
 class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
-
-
-def _simulation_key(default):
-    """A spec field read from, and written back to, the [simulation] section."""
-    return field(default=default, metadata={"section": "simulation"})
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    config: SystemConfig
-    rates: tuple[float, ...] | None
-    ratio: tuple[float, ...] | None = None
-    lambda_total_grid: tuple[float, ...] | None = None
-    lambda_1_grid: tuple[float, ...] | None = None
-    arrivals: int = _simulation_key(1_000_000)
-    warmup: float = _simulation_key(0.1)
-    policy: str = _simulation_key(POLICY_DYNAMIC)
-    bypass_estimator: bool = _simulation_key(False)
-    replications: int = _simulation_key(1)
-    trace_stride: int = _simulation_key(1000)
-    events: bool = _simulation_key(False)
-    seed: int = _simulation_key(0)
-    vlc: OpticalLinkParams = field(default_factory=OpticalLinkParams)
-
-    def __post_init__(self):
-        # runs again on every dataclasses.replace, so CLI overrides are checked too
-        errors = []
-        if self.arrivals < 1:
-            errors.append("[simulation] arrivals: must be >= 1")
-        if not 0 <= self.warmup < 1:
-            errors.append("[simulation] warmup: must be in [0, 1)")
-        if self.policy not in (POLICY_DYNAMIC, POLICY_SHARING):
-            errors.append(f"[simulation] policy: must be dynamic or sharing, got {self.policy!r}")
-        if self.replications < 1:
-            errors.append("[simulation] replications: must be >= 1")
-        if self.trace_stride < 1:
-            errors.append("[simulation] trace_stride: must be >= 1")
-        if self.seed < 0:
-            errors.append("[simulation] seed: must be >= 0")
-        if errors:
-            raise ConfigError("; ".join(errors))
-
-
-_SIMULATION_FIELDS = tuple(
-    f for f in fields(ExperimentSpec) if f.metadata.get("section") == "simulation"
-)
-
-_KNOWN_KEYS = {
-    "system": {"channels", "guard", "mu", "holding_time", "window"},
-    "traffic": {"rates", "ratio"},
-    "sweep": {"lambda_total", "lambda_1"},
-    "simulation": {f.name for f in _SIMULATION_FIELDS},
-    "vlc": {f.name for f in fields(OpticalLinkParams)},
-}
-
-
-def _get(parser, section, key, conv, default, errors):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (ValueError, TypeError):
-        errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-        return default
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -118,6 +55,109 @@ def _bool(raw: str) -> bool:
 _PARSERS = {bool: _bool, str: str.strip}
 
 
+def _key(section, default=None, *, key=None, parse=None, check=None, rule=""):
+    """A spec field read from, and written back to, ``[section] key``, the
+    field's name unless ``key`` is given. A value other than None must pass
+    ``check``; ``rule`` says what the check asks for."""
+    parse = parse or _PARSERS.get(type(default), type(default))
+    return field(
+        default=default,
+        metadata={"section": section, "key": key, "parse": parse, "check": check, "rule": rule},
+    )
+
+
+_AT_LEAST_1 = dict(check=lambda v: v >= 1, rule="must be >= 1")
+_GRID = dict(
+    parse=_float_list,
+    check=lambda g: _finite_non_negative(g) and all(b > a for a, b in zip(g, g[1:])),
+    rule="entries must be finite, >= 0 and strictly increasing, with a finite sum",
+)
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    config: SystemConfig
+    rates: tuple[float, ...] | None = _key(
+        "traffic", parse=_float_list, check=_finite_non_negative,
+        rule="entries must be finite and >= 0 with a finite sum",
+    )
+    ratio: tuple[float, ...] | None = _key(
+        "traffic", parse=_float_list, check=lambda r: _finite_non_negative(r) and sum(r) > 0,
+        rule="entries must be finite and >= 0 with a positive, finite sum",
+    )
+    lambda_total_grid: tuple[float, ...] | None = _key("sweep", key="lambda_total", **_GRID)
+    lambda_1_grid: tuple[float, ...] | None = _key("sweep", key="lambda_1", **_GRID)
+    arrivals: int = _key("simulation", 1_000_000, **_AT_LEAST_1)
+    warmup: float = _key("simulation", 0.1, check=lambda v: 0 <= v < 1, rule="must be in [0, 1)")
+    policy: str = _key(
+        "simulation", POLICY_DYNAMIC, check=lambda v: v in (POLICY_DYNAMIC, POLICY_SHARING),
+        rule="must be dynamic or sharing",
+    )
+    bypass_estimator: bool = _key("simulation", False)
+    replications: int = _key("simulation", 1, **_AT_LEAST_1)
+    trace_stride: int = _key("simulation", 1000, **_AT_LEAST_1)
+    events: bool = _key("simulation", False)
+    seed: int = _key("simulation", 0, check=lambda v: v >= 0, rule="must be >= 0")
+    vlc: OpticalLinkParams = field(default_factory=OpticalLinkParams)
+
+    def __post_init__(self):
+        # runs again on every dataclasses.replace, so CLI overrides are checked too
+        errors = []
+        for f in fields(self):
+            value, check = getattr(self, f.name), f.metadata.get("check")
+            if check is not None and value is not None and not check(value):
+                k = _KEY_OF_ATTR[f.name]
+                got = "" if isinstance(value, tuple) else f", got {value!r}"
+                errors.append(f"[{k.section}] {k.key}: {f.metadata['rule']}{got}")
+        if errors:
+            raise ConfigError("; ".join(errors))
+
+
+class Key(NamedTuple):
+    """One config key: where it is read, how, its default, and the dotted
+    ``ExperimentSpec`` attribute it sets (None for ``holding_time``)."""
+
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    default: object
+    attr: str | None
+
+
+# every key of every section, in the order the parser reads them; [system]
+# is spelled out because SystemConfig, a library type, has no defaults: the
+# paper-scale 100 channels, guard pool 10 and 100-gap estimator windows
+KEYS = (
+    Key("system", "channels", int, 100, "config.n_channels"),
+    Key("system", "guard", int, 10, "config.guard"),
+    Key("system", "mu", float, None, "config.mu"),
+    Key("system", "holding_time", float, None, None),  # resolves into mu
+    Key("system", "window", int, 100, "config.window_n"),
+    *(
+        Key(f.metadata["section"], f.metadata["key"] or f.name, f.metadata["parse"], f.default,
+            f.name)
+        for f in fields(ExperimentSpec)
+        if "section" in f.metadata
+    ),
+    *(Key("vlc", f.name, float, f.default, f"vlc.{f.name}") for f in fields(OpticalLinkParams)),
+)
+
+_KEY_OF_ATTR = {k.attr: k for k in KEYS}
+# the library types that check their own fields, by the spec attribute that holds one
+_LIBRARY_TYPES = {"config": SystemConfig, "vlc": OpticalLinkParams}
+
+
+def _read(parser, k: Key, errors: list[str]):
+    if not parser.has_option(k.section, k.key):
+        return k.default
+    raw = parser.get(k.section, k.key)
+    try:
+        return k.parse(raw)
+    except (ValueError, TypeError):
+        errors.append(f"[{k.section}] {k.key}: cannot parse {raw!r}")
+        return k.default
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate an experiment config; raises ConfigError on any issue."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -128,80 +168,44 @@ def parse_config(text: str) -> ExperimentSpec:
 
     errors: list[str] = []
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        known = {k.key for k in KEYS if k.section == section}
+        if not known:
             errors.append(f"unknown section [{section}]")
             continue
-        for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                errors.append(f"[{section}] {key}: unknown key")
+        errors += [f"[{section}] {key}: unknown key" for key in parser.options(section)
+                   if key not in known]
 
-    channels = _get(parser, "system", "channels", int, DEFAULT_CHANNELS, errors)
-    guard = _get(parser, "system", "guard", int, DEFAULT_GUARD, errors)
-    holding = _get(parser, "system", "holding_time", float, None, errors)
-    mu = _get(parser, "system", "mu", float, None, errors)
-    if mu is not None and holding is not None:
+    # the values by the spec attribute they set, grouped by the object that holds it
+    values: dict[str, dict] = {"": {}, "config": {}, "vlc": {}}
+    for k in KEYS:
+        if k.attr is None:
+            holding = _read(parser, k, errors)
+            continue
+        owner, _, name = k.attr.rpartition(".")
+        values[owner][name] = _read(parser, k, errors)
+
+    system = values["config"]
+    if system["mu"] is not None and holding is not None:
         errors.append("[system] mu and holding_time are mutually exclusive")
     if holding is not None and not (math.isfinite(holding) and holding > 0):
         errors.append("[system] holding_time: must be finite and > 0")
         holding = None
-    if mu is None:
-        mu = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
-    window = _get(parser, "system", "window", int, DEFAULT_WINDOW, errors)
+    if system["mu"] is None:
+        system["mu"] = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
 
-    rates = _get(parser, "traffic", "rates", _float_list, None, errors)
-    ratio = _get(parser, "traffic", "ratio", _float_list, None, errors)
-    if rates is not None and not _finite_non_negative(rates):
-        errors.append("[traffic] rates: entries must be finite and >= 0 with a finite sum")
-    if ratio is not None and not (_finite_non_negative(ratio) and sum(ratio) > 0):
-        errors.append(
-            "[traffic] ratio: entries must be finite and >= 0 with a positive, finite sum"
-        )
-
-    lambda_total_grid = _get(parser, "sweep", "lambda_total", _float_list, None, errors)
-    lambda_1_grid = _get(parser, "sweep", "lambda_1", _float_list, None, errors)
-    for key, grid in (("lambda_total", lambda_total_grid), ("lambda_1", lambda_1_grid)):
-        if grid is None:
-            continue
-        if not _finite_non_negative(grid):
-            errors.append(f"[sweep] {key}: entries must be finite and >= 0 with a finite sum")
-        elif any(b <= a for a, b in zip(grid, grid[1:])):
-            errors.append(f"[sweep] {key}: grid must be strictly increasing")
-
-    simulation = {
-        f.name: _get(
-            parser, "simulation", f.name, _PARSERS.get(type(f.default), type(f.default)),
-            f.default, errors,
-        )
-        for f in _SIMULATION_FIELDS
-    }
+    # a library type's ValueError opens with the failing attribute's name;
+    # report it under the key that sets the attribute
+    for owner, cls in _LIBRARY_TYPES.items():
+        try:
+            values[""][owner] = cls(**values[owner])
+        except ValueError as exc:
+            name, _, rule = str(exc).partition(" ")
+            k = _KEY_OF_ATTR[f"{owner}.{name}"]
+            errors.append(f"[{k.section}] {k.key}: {rule}")
+            values[""][owner] = None
 
     try:
-        config = SystemConfig(n_channels=channels, guard=guard, mu=mu, window_n=window)
-    except ValueError as exc:
-        errors.append(f"[system] {exc}")
-        config = None
-
-    vlc_values = {}
-    for f in fields(OpticalLinkParams):
-        val = _get(parser, "vlc", f.name, float, None, errors)
-        if val is not None:
-            vlc_values[f.name] = val
-    try:
-        vlc = OpticalLinkParams(**vlc_values)
-    except ValueError as exc:
-        errors.append(f"[vlc] {exc}")
-        vlc = OpticalLinkParams()
-
-    try:
-        spec = ExperimentSpec(
-            config=config,
-            rates=rates,
-            ratio=ratio,
-            lambda_total_grid=lambda_total_grid,
-            lambda_1_grid=lambda_1_grid,
-            vlc=vlc,
-            **simulation,
-        )
+        spec = ExperimentSpec(**values[""])
     except ConfigError as exc:
         errors.append(str(exc))
     if not errors:
@@ -276,21 +280,8 @@ def _manifest_value(value) -> str:
 
 
 def render_manifest(spec: ExperimentSpec, mode: str) -> str:
-    """Full resolved spec as sorted key=value lines; rerunning from these
-    values reproduces every output byte."""
-    values = {
-        "mode": mode,
-        "system.channels": spec.config.n_channels,
-        "system.guard": spec.config.guard,
-        "system.mu": spec.config.mu,
-        "system.window": spec.config.window_n,
-        "traffic.rates": spec.rates,
-        "traffic.ratio": spec.ratio,
-        "sweep.lambda_total": spec.lambda_total_grid,
-        "sweep.lambda_1": spec.lambda_1_grid,
-    }
-    for f in _SIMULATION_FIELDS:
-        values[f"simulation.{f.name}"] = getattr(spec, f.name)
-    for f in fields(spec.vlc):
-        values[f"vlc.{f.name}"] = getattr(spec.vlc, f.name)
+    """Full resolved spec as sorted key=value lines, one per key that sets a
+    spec attribute; rerunning from these values reproduces every output byte."""
+    values = {f"{k.section}.{k.key}": attrgetter(k.attr)(spec) for k in KEYS if k.attr}
+    values["mode"] = mode
     return "".join(f"{k}={_manifest_value(values[k])}\n" for k in sorted(values))

@@ -28,7 +28,7 @@ import math
 from bisect import bisect_right
 from operator import attrgetter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -178,9 +178,6 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
     latest = [math.nan if rate > 0 else 0.0 for rate in rates]
     # row -1 - m of a batch's estimate table holds class m's entry of latest
     before = np.arange(-1, -1 - m_count, -1)[:, None]
-    # the estimator is ready once every class with a positive configured
-    # rate has a gap in its window, from the class's second arrival on
-    ready = False
     stride = scenario.trace_stride
     done = 0
     while streams and done < scenario.arrivals:
@@ -206,33 +203,24 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
 
         warm = size            # the first row whose limit follows the estimates
         if estimating:
-            if not ready:
-                # from the row of the last class's second arrival on
-                warm = 0
-                for s, k in zip(streams, taken):
-                    if s.taken + k < 2:
-                        warm = size
-                        break
-                    row = -1
-                    for _ in range(2 - s.taken):
-                        row = cls_list.index(s.m, row + 1)
-                    warm = max(warm, row)
-                ready = warm < size
-            else:
-                warm = 0
-            if ready:
-                span = np.arange(size)
-                own = np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])
-                table = np.concatenate((own[rows], latest[::-1]))
-                # the row of each class's latest arrival at or before each
-                # row, or its entry of latest
-                source = np.empty((m_count, size), dtype=np.intp)
-                source[:] = before
-                source[cls, span] = span
-                np.maximum.accumulate(source, axis=1, out=source)
-                columns = table[source[:, warm:]]
-                y = np.array(floors(*columns))
-                limit[warm:] = y[cls[warm:], span[:size - warm]] + unreserved
+            span = np.arange(size)
+            own = np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])
+            table = np.concatenate((own[rows], latest[::-1]))
+            # the row of each class's latest arrival at or before each row,
+            # or its entry of latest
+            source = np.empty((m_count, size), dtype=np.intp)
+            source[:] = before
+            source[cls, span] = span
+            np.maximum.accumulate(source, axis=1, out=source)
+            columns = table[source]
+            # the estimator is ready once every class with a positive
+            # configured rate has a gap in its window: a class's column is
+            # nan until its second arrival and finite from then on
+            ready = ~np.isnan(columns).any(axis=0)
+            warm = int(ready.argmax()) if ready[-1] else size
+            columns = columns[:, warm:]
+            y = np.array(floors(*columns))
+            limit[warm:] = y[cls[warm:], span[:size - warm]] + unreserved
             for s, k in zip(streams, taken):
                 if k:
                     latest[s.m] = s.estimates[k - 1]
@@ -377,8 +365,6 @@ def run_simulation(
 
 def compare_policies(scenario: SimScenario) -> tuple[SimMetrics, SimMetrics]:
     """Run dynamic reservation and complete sharing on identical random draws."""
-    from dataclasses import replace
-
     dyn = run_simulation(replace(scenario, policy=POLICY_DYNAMIC))
     share = run_simulation(replace(scenario, policy=POLICY_SHARING))
     return dyn, share

@@ -13,7 +13,8 @@ one draw per scheduled arrival, the window estimator one arrival at a time
 (``ArrivalWindowReference``, the running sum updated gap by gap) and a full
 ``compute_partition`` on every arrival. The point solver is the analyzer as
 it ran before it took a grid: one point at a time, the Erlang-B recurrence a
-Python loop over floats.
+Python loop over floats. ``manifest_to_ini`` turns a manifest back into
+the config text it records, line by line.
 """
 
 from __future__ import annotations
@@ -221,6 +222,20 @@ def write_events_reference(path, per_rep_events) -> None:
         ["replication", "time", "kind", "class", "decision", "occupied_after"],
         ((rep, *event) for rep, events in enumerate(per_rep_events) for event in events),
     )
+
+
+def manifest_to_ini(manifest: str) -> str:
+    """The config that ``manifest.txt``'s ``section.key=value`` lines
+    describe, as INI text: the rerun the README promises reproduces the
+    run. ``mode`` is not a config key, and an empty value is a key the run
+    left unset."""
+    sections: dict[str, list[str]] = {}
+    for line in manifest.splitlines():
+        name, _, value = line.partition("=")
+        if name != "mode" and value:
+            section, _, key = name.partition(".")
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
 def run_simulation_reference(scenario) -> SimMetrics:

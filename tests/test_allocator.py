@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
 from qosguard import cli
-from qosguard.allocator import SystemConfig, compute_partition, floor_rule, guard_floors
+from qosguard.allocator import SystemConfig, compute_partition, floor_rule
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -38,21 +38,21 @@ class TestReservedShares:
 
 class TestGuardFloors:
     def test_suffix_floors(self):
-        assert guard_floors((3, 4, 2, 1), 10) == (10, 7, 3, 1)
+        assert floor_rule(4, 10)(3, 4, 2, 1) == (10, 7, 3, 1)
 
     def test_floor_applied(self):
-        assert guard_floors((1.0, 1.0, 1.0, 1.0), 10)[1] == 7
+        assert floor_rule(4, 10)(1.0, 1.0, 1.0, 1.0)[1] == 7
 
     def test_single_class(self):
-        assert guard_floors((1.0,), 10) == (10,)
+        assert floor_rule(1, 10)(1.0) == (10,)
 
     def test_one_floor_per_class(self):
-        assert len(guard_floors((1.0, 2.0), 10)) == 2
-        assert len(guard_floors((1.0, 2.0, 0.0, 4.0), 10)) == 4
+        assert len(floor_rule(2, 10)(1.0, 2.0)) == 2
+        assert len(floor_rule(4, 10)(1.0, 2.0, 0.0, 4.0)) == 4
 
     @given(rates=rate_vectors, gamma=st.integers(min_value=0, max_value=200))
     def test_matches_reference(self, rates, gamma):
-        assert guard_floors(rates, gamma) == guard_floors_reference(rates, gamma)
+        assert floor_rule(len(rates), gamma)(*rates) == guard_floors_reference(rates, gamma)
 
     # the simulator runs the rule on numpy columns, one rate vector per row
     @given(m_count=st.integers(min_value=1, max_value=6), data=st.data(),
@@ -63,7 +63,7 @@ class TestGuardFloors:
         rows = data.draw(st.lists(vector, min_size=1, max_size=20))
         columns = floor_rule(m_count, gamma, np.floor)(*np.array(rows).T)
         got = [tuple(row) for row in np.array(columns).T.astype(int).tolist()]
-        assert got == [guard_floors(row, gamma) for row in rows]
+        assert got == [floor_rule(m_count, gamma)(*row) for row in rows]
 
     # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
     # integer sum(k[i:]), the case where floats land a few ulps low
@@ -77,7 +77,7 @@ class TestGuardFloors:
         rates = [k / 10 for k in ks]
         gamma = sum(ks)
         exact = tuple(sum(ks[i:]) for i in range(len(ks)))
-        assert guard_floors(rates, gamma) == exact
+        assert floor_rule(len(rates), gamma)(*rates) == exact
         assert guard_floors_reference(rates, gamma) == exact
 
 

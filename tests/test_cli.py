@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from test_simulate import _ZeroGapRng
 
 from qosguard import cli
 from qosguard.cli import main
-from qosguard.config import ConfigError, parse_config
+from qosguard.config import KEYS, ConfigError, parse_config
 
 ANALYZE_INI = """
 [system]
@@ -42,6 +43,10 @@ BAD_FIELDS = [
     ("analyze", "[system]\nmu = 0", [], "[system] mu"),
     ("analyze", "[system]\nmu = inf", [], "[system] mu"),
     ("simulate", "[system]\nmu = nan", [], "[system] mu"),
+    # a [system] value is reported under its key, not SystemConfig's attribute
+    ("analyze", "[system]\nchannels = 0", [], "[system] channels"),
+    ("analyze", "[system]\nwindow = 0", [], "[system] window:"),
+    ("analyze", "[system]\nguard = -1", [], "[system] guard:"),
     ("analyze", "[traffic]\nrates = nan, 1", [], "[traffic] rates"),
     ("analyze", "[traffic]\nrates = 1e308, 1e308", [], "[traffic] rates"),
     ("analyze", "[sweep]\nlambda_total = 1\n[traffic]\nratio = inf, 1", [], "[traffic] ratio"),
@@ -109,12 +114,21 @@ class TestParseConfig:
             parse_config("[traffic]\nrates = 0.3, 0.3\nnames = voice, data\n")
 
     def test_readme_example_parses(self):
-        # a key the README documents must be one the parser takes
+        # a key the README documents must be one the parser takes, and every
+        # key the parser takes is documented, set or in a "# or: key = ..."
+        # comment
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         spec = parse_config(block)
         assert spec.ratio == (3.0, 4.0, 2.0, 1.0)
         assert spec.lambda_total_grid == (0.5, 0.667, 0.833, 1.0)
+        documented, section = set(), None
+        for line in block.splitlines():
+            if header := re.match(r"\[(\w+)\]", line):
+                section = header[1]
+            for key in re.findall(r"^(\w+)\s*=|#\s*or[^:#]*:\s*(\w+)\s*=", line):
+                documented.add((section, key[0] or key[1]))
+        assert {(k.section, k.key) for k in KEYS} <= documented
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown section"):

@@ -7,15 +7,23 @@ The `analyze` and `sweep` digests were recorded with the one-point-at-a-time
 analyzer, before it solved the whole sweep as one grid. The `compare` and
 `vlc-link` digests were recorded while every CSV row still went through
 `csv.writer` one value at a time, before rows were formatted in blocks.
+
+The `manifest.txt` digests of every config were recorded while the config
+module still listed each section's keys by hand, in its known keys, its
+reads and the manifest, before one key table took their place. Beside
+them, each manifest is turned back into a config, which must parse to the
+same spec and render the same manifest, the rerun the README promises.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from oracles import manifest_to_ini
 
-from qosguard import simulate
+from qosguard import cli, simulate
 from qosguard.cli import main
+from qosguard.config import parse_config, render_manifest
 
 DYNAMIC_INI = """
 [system]
@@ -170,6 +178,56 @@ VLC_GOLDEN = {
 }
 
 
+MANIFEST_DIGESTS = {
+    ("simulate", "dynamic-bypass"):
+        "6c2bf7fd61708ae5e18d34e025e88803f9a5152361c8e3b5464aa84378a36513",
+    ("simulate", "dynamic-estimator"):
+        "bd310060536b8a2495051a5459cedeb566ae20a4e2ae8ded1a4cc4e87b0dba7c",
+    ("simulate", "sharing-events"):
+        "1b8ca6444046c244fa8985b82cda99ebf4f51404430e33887304e7248dc38c66",
+    ("analyze", "grid-from-zero"):
+        "bf77fd2560d1fbcea62d5c271b8410a6db92eb7a8dc4f128d9c0473b24669fa4",
+    ("analyze", "lambda-1-staircase"):
+        "e0acfc0b5c65899fea987aefc318f7a63e893c00393159176728e68983ffb3b3",
+    ("analyze", "lambda-total-n1000"):
+        "9f3e7d32be35195e2d9841159e6639cebfb34cb6fb4b6343e5b2e05a10734228",
+    ("analyze", "zero-rates"):
+        "c60e5dca36be0065399b275cc51a48064f9fa9d46a5bc4142e401f1b67249c44",
+    ("sweep", "sweep-lambda-1"):
+        "682361a7ebaef392dfd061e4cc7fa1051830bddf030578e3845039e3d7c0b48d",
+    ("compare", "compare-2-reps"):
+        "8195371cdf73fac11e3f0478c8dc475170ca7212d15b3fb134619529325c4fe0",
+    ("vlc-link", "default-link"):
+        "1e1d9338c5cfb0a370fa2bc9690b8ed76819cb4beb229f039825efbc37395e1f",
+    ("vlc-link", "off-axis"):
+        "d561e77e59506111084200e9e16e13bb569b57c6890fd19719c646bc0c412f94",
+    ("vlc-link", "outside-fov"):
+        "2ba86192a9c60c5b3b72904154a63e700cbbad3a054115b5d530b96b5c44824e",
+}
+
+_CONFIGS = {
+    "simulate": GOLDEN,
+    "analyze": ANALYZE_GOLDEN,
+    "sweep": SWEEP_GOLDEN,
+    "compare": COMPARE_GOLDEN,
+    "vlc-link": VLC_GOLDEN,
+}
+
+OVERRIDES = ["--seed", "11", "--arrivals", "3000", "--policy", "sharing"]
+
+
+def manifest_only(monkeypatch, tmp_path, mode, text, args=()):
+    """The spec that ``main`` runs for ``text`` and ``args``, and the
+    manifest it writes, with the mode's own outputs left out."""
+    specs = []
+    monkeypatch.setitem(cli._MODE_RUNNERS, mode, lambda spec, out: specs.append(spec))
+    cfg = tmp_path / "golden.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out), *args]) == 0
+    return specs[0], (out / "manifest.txt").read_text()
+
+
 def csv_digests(tmp_path, text, mode="simulate") -> dict[str, str]:
     cfg = tmp_path / "golden.ini"
     cfg.write_text(text)
@@ -223,3 +281,18 @@ def test_holding_draws_chunk_size_does_not_change_draws(monkeypatch):
         while len(stream.holds) < 20_000:
             stream.refill()
         assert stream.holds[:20_000].tolist() == expected
+
+
+@pytest.mark.parametrize("mode,name", sorted(MANIFEST_DIGESTS))
+def test_manifest_digests(monkeypatch, tmp_path, mode, name):
+    _, manifest = manifest_only(monkeypatch, tmp_path, mode, _CONFIGS[mode][name][0])
+    assert hashlib.sha256(manifest.encode()).hexdigest() == MANIFEST_DIGESTS[mode, name]
+
+
+@pytest.mark.parametrize("args", [[], OVERRIDES], ids=["config", "overrides"])
+@pytest.mark.parametrize("mode,name", sorted(MANIFEST_DIGESTS))
+def test_manifest_reruns_to_the_same_spec(monkeypatch, tmp_path, mode, name, args):
+    spec, manifest = manifest_only(monkeypatch, tmp_path, mode, _CONFIGS[mode][name][0], args)
+    rerun = parse_config(manifest_to_ini(manifest))
+    assert rerun == spec
+    assert render_manifest(rerun, mode) == manifest
