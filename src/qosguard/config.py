@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -109,6 +110,8 @@ class ExperimentSpec:
                 k = _KEY_OF_ATTR[f.name]
                 got = "" if isinstance(value, tuple) else f", got {value!r}"
                 errors.append(f"[{k.section}] {k.key}: {f.metadata['rule']}{got}")
+        if self.lambda_1_grid is not None and self.lambda_total_grid is not None:
+            errors.append("[sweep] lambda_1 and lambda_total are mutually exclusive")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -145,6 +148,12 @@ KEYS = (
 _KEY_OF_ATTR = {k.attr: k for k in KEYS}
 # the library types that check their own fields, by the spec attribute that holds one
 _LIBRARY_TYPES = {"config": SystemConfig, "vlc": OpticalLinkParams}
+
+
+def _key_name(owner: str, word: str) -> str:
+    """The config key that sets attribute ``word`` of ``owner``, or ``word``."""
+    k = _KEY_OF_ATTR.get(f"{owner}.{word}")
+    return word if k is None else k.key
 
 
 def _read(parser, k: Key, errors: list[str]):
@@ -194,13 +203,15 @@ def parse_config(text: str) -> ExperimentSpec:
         system["mu"] = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
 
     # a library type's ValueError opens with the failing attribute's name;
-    # report it under the key that sets the attribute
+    # report it under the key that sets the attribute, with every attribute
+    # the rule names spelled as its key
     for owner, cls in _LIBRARY_TYPES.items():
         try:
             values[""][owner] = cls(**values[owner])
         except ValueError as exc:
             name, _, rule = str(exc).partition(" ")
             k = _KEY_OF_ATTR[f"{owner}.{name}"]
+            rule = re.sub(r"\w+", lambda w: _key_name(owner, w[0]), rule)
             errors.append(f"[{k.section}] {k.key}: {rule}")
             values[""][owner] = None
 

@@ -3,32 +3,37 @@
 Per-class Poisson arrivals feed sliding-window rate estimators. Each class
 draws its arrival times and holding times in chunks from its own two
 generators, and the classes are merged in time order ahead of the loop; a
-heap holds only the pending departures. At equal times a departure frees
-its channel before an arrival is tested, and arrivals go by class index.
-Under the dynamic policy the guard floors y_m follow the window estimates
-through the allocator's floor rule. The estimator sees every arrival,
-admitted or blocked, so the estimates, and with them each arrival's class
-limit, depend only on the arrival times: they are computed per batch of
-arrivals with numpy, ahead of the loop, and the loop only admits, counts
-and logs. A call is admitted iff the occupancy is below its class limit.
-Departures are exponential. Runs are deterministic for a fixed scenario,
-and both policies can be replayed on the identical random draws for paired
-comparison.
+heap holds only the pending departure times. At equal times a departure
+frees its channel before an arrival is tested, and arrivals go by class
+index. Under the dynamic policy the guard floors y_m follow the window
+estimates through the allocator's floor rule. The estimator sees every
+arrival, admitted or blocked, so the estimates, and with them each
+arrival's class limit, depend only on the arrival times: they are computed
+per batch of arrivals with numpy, ahead of the loop, together with each
+arrival's departure time should it be admitted. The loop only admits and
+notes the blocked rows; the per-class counts come from each batch's class
+column afterwards. A call is admitted iff the occupancy is below its class
+limit. Departures are exponential. Runs are deterministic for a fixed
+scenario, and both policies can be replayed on the identical random draws
+for paired comparison.
 
-With ``record_events`` set, the loop hands its per-call event log out in
-batches of at least ``_EVENT_BATCH`` events, to a caller's ``on_events`` sink
-as the run goes or, without one, into ``SimMetrics.events``. A sink keeps the
-memory a run holds independent of its length.
+With ``record_events`` set, a second loop, which also keeps each pending
+departure's class, hands its per-call event log out in batches of at least
+``_EVENT_BATCH`` events, to a caller's ``on_events`` sink as the run goes
+or, without one, into ``SimMetrics.events``. A sink keeps the memory a run
+holds independent of its length.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import count, islice
 from operator import attrgetter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -137,9 +142,12 @@ class _ClassStream:
 
 def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_trace: list):
     """Yield the run's ``scenario.arrivals`` arrivals in time order, ties by
-    class index, as batches of ``_RNG_CHUNK`` (time, class index m, holding
-    time, limit of class m) rows, and append the traced rows to the two
-    trace lists.
+    class index, in batches of ``_RNG_CHUNK`` rows, and append the traced
+    rows to the two trace lists. A batch is four columns: the arrival
+    times, the class indices m (an array), the departure times should the
+    calls be admitted and the limits of their classes. A departure time is
+    the arrival time plus the holding time, added in one numpy add per
+    batch: the same float add as adding them when the call is admitted.
 
     Each class with a positive rate draws ahead in chunks (``_ClassStream``).
     Every class's arrivals up to the earliest last drawn time among the
@@ -195,9 +203,13 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         order = sorted(range(len(times)), key=times.__getitem__)[:size]
         rows = np.fromiter(order, np.intp, size)
         times = [times[j] for j in order]
+        if times[-1] == math.inf:
+            # the loop's heap sentinel is inf; a rate this small has no run
+            raise ValueError("arrival times overflow to inf: a positive rate is below "
+                             "the smallest whose mean gap 1/rate is finite")
         cls = np.repeat(classes, counts)[rows]
-        cls_list = cls.tolist()
-        taken = [cls_list.count(s.m) for s in streams]
+        per_class = np.bincount(cls, minlength=m_count).tolist()
+        taken = [per_class[s.m] for s in streams]
         holds = np.concatenate([s.holds[:k] for s, k in zip(streams, counts)])[rows]
         limit = configured_limits[cls]
 
@@ -241,7 +253,67 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
             estimates = columns[:, traced].T.tolist()
             estimator_trace.extend((t, *row) for t, row in zip(at, estimates))
         done += size
-        yield zip(times, cls_list, holds.tolist(), limit.tolist())
+        yield times, cls, np.add(times, holds).tolist(), limit.tolist()
+
+
+def _admit(rows, departures, occupied, area, last_t, blocked):
+    """Run the admission loop over ``rows`` of (row, time, departure time,
+    limit) and return the new (occupied, area, last_t).
+
+    ``departures`` is a heap of the pending departure times over an ``inf``
+    sentinel. Before an arrival at time t, every departure at a time <= t
+    frees its channel; tied departures add ``occupied * 0.0`` to the area,
+    so their order does not matter. ``area`` gains the occupancy times each
+    interval, and each blocked row's index is appended to ``blocked``.
+    """
+    push, pop = heapq.heappush, heapq.heappop
+    for row, t, departure, limit in rows:
+        while departures[0] <= t:
+            dt = pop(departures)
+            area += occupied * (dt - last_t)
+            last_t = dt
+            occupied -= 1
+        area += occupied * (t - last_t)
+        last_t = t
+        if occupied < limit:
+            occupied += 1
+            push(departures, departure)
+        else:
+            blocked.append(row)
+    return occupied, area, last_t
+
+
+def _admit_logged(rows, departures, occupied, area, last_t, blocked, events, on_events):
+    """``_admit`` over rows of (row, time, class index m, departure time,
+    limit), which also logs every event to ``events``.
+
+    The heap holds (departure time, m), so that a departure's event names
+    its class; tied departures pop by class, as in a heap of every event.
+    Once ``events`` holds ``_EVENT_BATCH`` events, checked after each
+    arrival, a copy goes to ``on_events`` and ``events`` is emptied.
+    """
+    push, pop = heapq.heappush, heapq.heappop
+    log = events.append
+    for row, t, m, departure, limit in rows:
+        while departures[0][0] <= t:
+            dt, dm = pop(departures)
+            area += occupied * (dt - last_t)
+            last_t = dt
+            occupied -= 1
+            log((dt, "departure", dm + 1, "release", occupied))
+        area += occupied * (t - last_t)
+        last_t = t
+        if occupied < limit:
+            occupied += 1
+            push(departures, (departure, m))
+            log((t, "arrival", m + 1, "accept", occupied))
+        else:
+            blocked.append(row)
+            log((t, "arrival", m + 1, "block", occupied))
+        if len(events) >= _EVENT_BATCH:
+            on_events(events.copy())
+            events.clear()
+    return occupied, area, last_t
 
 
 def run_simulation(
@@ -250,7 +322,7 @@ def run_simulation(
     """Simulate the closed admission loop for ``scenario``.
 
     The arrivals come in time order in batches (``_arrival_batches``), each
-    row with its holding time and its class limit; a heap holds only the
+    row with its departure time and its class limit; a heap holds only the
     pending departures. Before an arrival at time t, every departure at a
     time <= t is processed, so a departure frees its channel before an
     arrival at the same time is tested, and arrivals at the same time go by
@@ -264,13 +336,24 @@ def run_simulation(
     estimator sees every arrival, admitted or blocked, and the partition
     depends only on the estimates, so the limit each arrival is tested
     against depends only on the arrival times. It is computed per batch,
-    ahead of the loop, and the loop only admits, counts and logs. The
-    result is exact, not an approximation: each window's running sums over
-    a chunk are one ``cumsum`` of the same adds and subtracts in the same
-    order (``ArrivalWindow.record_arrivals``), and the allocator's floor
-    rule runs the same float operations on columns as on one vector.
+    ahead of the loop. The result is exact, not an approximation: each
+    window's running sums over a chunk are one ``cumsum`` of the same adds
+    and subtracts in the same order (``ArrivalWindow.record_arrivals``),
+    and the allocator's floor rule runs the same float operations on
+    columns as on one vector.
 
-    When ``scenario.record_events`` is set, events (time, kind, class,
+    The loop (``_admit``) only admits and notes the blocked rows. After
+    each batch, a class's measured arrivals are counted from the class
+    column and its blocks from the blocked rows; its admissions are the
+    difference. The first ``int(warmup * arrivals)`` arrivals are not
+    measured: the batch that holds the first measured arrival is split
+    after it, where the area restarts at 0.0 and the measured interval
+    starts at its time. The area then sums the same terms in the same
+    order as a loop that starts adding there. Without a warm-up, the
+    measured interval starts at 0.0.
+
+    When ``scenario.record_events`` is set, the loop that also logs
+    (``_admit_logged``) runs instead, and events (time, kind, class,
     decision, occupied) are collected in batches. A batch is passed to
     ``on_events`` once it holds ``_EVENT_BATCH`` events, checked after each
     arrival, and the last partial batch is passed when the run ends; the
@@ -284,76 +367,63 @@ def run_simulation(
     estimator_trace: list = []
     batches = _arrival_batches(scenario, partition_trace, estimator_trace)
 
-    # pending departures: (time, class_index, seq)
-    departures: list = []
-    push, pop = heapq.heappush, heapq.heappop
-    seq = 0
+    logged = scenario.record_events
+    held: list | None = None
+    if logged:
+        if on_events is None:
+            held = []
+            on_events = held.extend
+        events: list = []
+        departures: list = [(math.inf, 0)]
+        admit = partial(_admit_logged, events=events, on_events=on_events)
+    else:
+        departures = [math.inf]
+        admit = _admit
 
     warmup_count = int(scenario.warmup * scenario.arrivals)
-    arrivals_seen = 0
     occupied = 0
-    arr_counts = [0] * m_count
+    arr_counts = np.zeros(m_count, dtype=np.int64)
     block_counts = [0] * m_count
-    admit_counts = [0] * m_count
-    in_measurement = warmup_count == 0
     measure_start = 0.0
-    area = 0.0          # integral of occupancy over the measured interval
+    area = 0.0          # integral of occupancy, over the measured interval once it starts
     last_t = 0.0
-    events: list | None = [] if scenario.record_events else None
-    held: list | None = None
-    if events is not None and on_events is None:
-        held = []
-        on_events = held.extend
+    blocked: list[int] = []
+    done = 0
 
-    for batch in batches:
-        for t, m, hold, limit in batch:
-            while departures and departures[0][0] <= t:
-                dt, dm, _ = pop(departures)
-                if in_measurement:
-                    area += occupied * (dt - last_t)
-                last_t = dt
-                occupied -= 1
-                if events is not None:
-                    events.append((dt, "departure", dm + 1, "release", occupied))
-            if in_measurement:
-                area += occupied * (t - last_t)
-            last_t = t
-            arrivals_seen += 1
+    for times, cls, departs, limits in batches:
+        size = len(times)
+        classes = cls.tolist()
+        if logged:
+            rows = zip(count(), times, classes, departs, limits)
+        else:
+            rows = zip(count(), times, departs, limits)
+        first = warmup_count - done      # the batch row of the first measured arrival
+        if warmup_count and 0 <= first < size:
+            occupied, area, last_t = admit(
+                islice(rows, first + 1), departures, occupied, area, last_t, blocked)
+            area, measure_start = 0.0, times[first]
+        occupied, area, last_t = admit(rows, departures, occupied, area, last_t, blocked)
+        start = max(first, 0)            # the first measured row of the batch
+        if start < size:
+            arr_counts += np.bincount(cls[start:], minlength=m_count)
+            # counted in Python: indexing cls by the blocked rows would make
+            # a small array of a new size per batch, and numpy keeps such
+            # blocks in its cache, which raises the memory a run holds
+            for row in blocked[bisect_left(blocked, start):]:
+                block_counts[classes[row]] += 1
+        blocked.clear()
+        done += size
 
-            accepted = occupied < limit
-            if accepted:
-                occupied += 1
-                push(departures, (t + hold, m, seq))
-                seq += 1
-
-            if arrivals_seen > warmup_count:
-                if not in_measurement:
-                    in_measurement = True
-                    measure_start = t
-                arr_counts[m] += 1
-                if accepted:
-                    admit_counts[m] += 1
-                else:
-                    block_counts[m] += 1
-
-            if events is not None:
-                events.append(
-                    (t, "arrival", m + 1, "accept" if accepted else "block", occupied))
-                if len(events) >= _EVENT_BATCH:
-                    on_events(events)
-                    events = []
-
-    if events:
+    if logged and events:
         on_events(events)
     duration = max(last_t - measure_start, 0.0)
-    blocking = tuple(
-        block_counts[m] / arr_counts[m] if arr_counts[m] else 0.0 for m in range(m_count)
-    )
+    arrived, blocks = arr_counts.tolist(), block_counts
+    blocking = tuple(b / a if a else 0.0 for a, b in zip(arrived, blocks))
     utilization = area / (duration * n) if duration > 0 else 0.0
     return SimMetrics(
-        per_class_arrivals=tuple(arr_counts),
-        per_class_blocks=tuple(block_counts),
-        per_class_admissions=tuple(admit_counts),
+        per_class_arrivals=tuple(arrived),
+        per_class_blocks=tuple(blocks),
+        per_class_admissions=tuple(a - b for a, b in zip(arrived, blocks)),
         empirical_blocking=blocking,
         utilization=utilization,
         duration=duration,

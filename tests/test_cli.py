@@ -54,6 +54,9 @@ BAD_FIELDS = [
     ("analyze", "[sweep]\nlambda_total = -1, 0.5", [], "[sweep] lambda_total"),
     ("analyze", "[sweep]\nlambda_total = 0.5, nan", [], "[sweep] lambda_total"),
     ("analyze", "[sweep]\nlambda_1 = -0.1, 0.3", [], "[sweep] lambda_1"),
+    # two sweep grids: neither is ignored in favour of the other
+    ("analyze", "[sweep]\nlambda_total = 1, 2, 3\nlambda_1 = 0.1, 0.2", [],
+     "[sweep] lambda_1 and lambda_total are mutually exclusive"),
     # every entry finite, but total rate x holding time overflows
     ("analyze", "[system]\nholding_time = 1e308\n[traffic]\nrates = 1, 1", [], "[traffic] rates"),
     ("analyze", "[traffic]\nrates = 1e308, 7e307\n[sweep]\nlambda_1 = 1e308", [],
@@ -102,6 +105,12 @@ class TestParseConfig:
     def test_guard_exceeding_channels_rejected(self):
         with pytest.raises(ConfigError, match="guard"):
             parse_config("[system]\nchannels = 5\nguard = 6\n")
+
+    def test_system_rule_names_config_keys(self):
+        # the rule names the keys a config sets, not SystemConfig's attributes
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[system]\nguard = 200\n[traffic]\nrates = 0.3, 0.3\n")
+        assert str(exc.value) == "[system] guard: must satisfy 0 <= guard <= channels, got 200"
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError, match=r"\[traffic\] rates"):

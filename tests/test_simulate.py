@@ -176,6 +176,17 @@ class _QuantisedRng:
         return np.floor(self.rng.exponential(scale, size) * 4) / 4 + 0.25
 
 
+class _FlooredRng:
+    """A generator whose exponential draws are floored to a 1/4 grid, so
+    that many of them are exactly 0.0."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def exponential(self, scale, size=None):
+        return np.floor(self.rng.exponential(scale, size) * 4) / 4
+
+
 class _ZeroGapRng:
     """A generator whose first chunk of exponential draws holds a 0.0 at
     index 5, so an arrival stream drawn from it repeats an arrival time."""
@@ -278,6 +289,44 @@ class TestMatchesReferenceLoop:
             runs[chunk] = asdict(run_simulation(scenario))
         assert runs[1] == runs[7] == runs[128] == runs[512]
 
+    # warm-up counts at and around the batch boundaries: the first measured
+    # arrival opens a batch, closes one, or sits inside one, and the last
+    # arrival is the only one measured; warmup = k / arrivals is exact
+    @pytest.mark.parametrize("warmup_count", [
+        0, 1, simulate._RNG_CHUNK - 1, simulate._RNG_CHUNK, simulate._RNG_CHUNK + 1,
+        4 * simulate._RNG_CHUNK - 1,
+    ])
+    @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_warmup_boundaries_match_reference(self, warmup_count, policy, record_events):
+        arrivals = 4 * simulate._RNG_CHUNK
+        scenario = SimScenario(config=SystemConfig(12, 3, 1.0, 20), rates=(6.0, 4.0, 3.0),
+                               arrivals=arrivals, seed=21, policy=policy,
+                               warmup=warmup_count / arrivals, trace_stride=5,
+                               record_events=record_events)
+        metrics = run_simulation(scenario)
+        assert sum(metrics.per_class_arrivals) == arrivals - warmup_count
+        # blocked rows fall on both sides of the split, except with one measured
+        assert sum(metrics.per_class_blocks) > 0 or warmup_count == arrivals - 1
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_zero_holding_times_match_reference(self, monkeypatch, record_events):
+        # draws floored to a 1/4 grid are often 0.0: a call then departs at
+        # its own arrival time, before the next arrival is tested
+        _wrap_draws(monkeypatch, _FlooredRng)
+        scenario = SimScenario(config=SystemConfig(4, 1, 1.0, 10), rates=(2.0, 1.0),
+                               arrivals=3000, seed=4, policy="sharing",
+                               record_events=record_events)
+        metrics = run_simulation(scenario)
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        if record_events:
+            # a departure logged after an accepted arrival at the same time
+            # can only be a call that arrived then with a 0.0 holding time
+            events = metrics.events
+            assert any(ev[3] == "accept" and nxt[1] == "departure" and nxt[0] == ev[0]
+                       for ev, nxt in zip(events, events[1:]))
+
 
 class TestRuntimeFaults:
     def test_repeated_arrival_time_raises(self, monkeypatch):
@@ -286,6 +335,14 @@ class TestRuntimeFaults:
         scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30), rates=(9.0, 12.0),
                                arrivals=2000, seed=1)
         with pytest.raises(ValueError, match="strictly increasing"):
+            run_simulation(scenario)
+
+
+    def test_arrival_time_overflow_raises(self):
+        # 1 / 1e-320 overflows, so every arrival time of the class is inf
+        scenario = SimScenario(config=SystemConfig(5, 1, 1.0, 10), rates=(1e-320,),
+                               arrivals=10, policy="sharing")
+        with pytest.raises(ValueError, match="overflow"):
             run_simulation(scenario)
 
 
