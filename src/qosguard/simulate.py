@@ -9,9 +9,9 @@ index. Under the dynamic policy the guard floors y_m follow the window
 estimates through the allocator's floor rule. The estimator sees every
 arrival, admitted or blocked, so the estimates, and with them each
 arrival's class limit, depend only on the arrival times: they are computed
-per batch of arrivals with numpy, ahead of the loop, together with each
+per block of arrivals with numpy, ahead of the loop, together with each
 arrival's departure time should it be admitted. The loop only admits and
-notes the blocked rows; the per-class counts come from each batch's class
+notes the blocked rows; the per-class counts come from each block's class
 column afterwards. A call is admitted iff the occupancy is below its class
 limit. Departures are exponential. Runs are deterministic for a fixed
 scenario, and both policies can be replayed on the identical random draws
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import count, islice
 from operator import attrgetter
 from collections.abc import Callable
@@ -43,12 +43,13 @@ from .traffic import ArrivalWindow
 POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
 
-# draws per generator call, and arrivals per batch handed to the loop; it
-# does not change the values drawn. A batch of at least 128 rows keeps each
-# of its arrays at 1 KiB or more, which numpy does not hold in its cache of
-# small freed blocks: batches of many different smaller sizes fill that
-# cache and raise the memory a run holds.
+# draws per generator call; it does not change the values drawn. A chunk's
+# arrays are 2 KiB, above the 1 KiB below which numpy keeps freed blocks in
+# a cache: arrays of many different smaller sizes fill that cache and raise
+# the memory a run holds.
 _RNG_CHUNK = 256
+# arrivals per block handed to the loop; it does not change the run
+_BLOCK = 1024
 # events per batch handed to an on_events sink (a batch closes after the
 # arrival that fills it, so it may also hold a few departures beyond this)
 _EVENT_BATCH = 4096
@@ -98,8 +99,8 @@ class SimMetrics:
 
 class _ClassStream:
     """One class's arrivals, drawn ahead in chunks of ``_RNG_CHUNK`` from
-    the class's two generators: arrival times, holding times and, with a
-    window, the window's estimate after each arrival.
+    the class's two generators: arrays of the arrival times, the holding
+    times and, with a window, the window's estimate after each arrival.
 
     A chunk's times are ``np.cumsum`` of its gaps with the last arrival time
     added to the first, the same sums as adding one gap at a time. The
@@ -114,53 +115,49 @@ class _ClassStream:
         self.hold_rng = np.random.default_rng(hold_seed)
         self.mean_hold = mean_hold
         self.window = window
-        self.times: list[float] = []     # drawn and not yet handed out
-        self.holds = self.estimates = np.empty(0)
+        self.times = self.holds = self.estimates = np.empty(0)  # not yet handed out
         self.last = 0.0                  # the last time drawn
-        self.taken = 0                   # arrivals handed out
 
     def refill(self) -> None:
-        """Draw the next chunk behind the arrivals not yet handed out."""
+        """Draw the next chunk behind the arrivals not yet handed out. Times
+        that overflow to inf are dropped, and ``last`` becomes inf."""
         gaps = self.arrival_rng.exponential(self.mean, size=_RNG_CHUNK)
-        gaps[0] += self.last
-        times = gaps.cumsum()
-        self.times += times.tolist()
-        self.last = self.times[-1]
+        with np.errstate(over="ignore"):
+            gaps[0] += self.last
+            times = gaps.cumsum()
+        self.last = float(times[-1])
+        if not math.isfinite(self.last):
+            times, self.last = times[np.isfinite(times)], math.inf
+        self.times = np.concatenate((self.times, times))
         holds = self.hold_rng.exponential(self.mean_hold, size=_RNG_CHUNK)
         self.holds = np.concatenate((self.holds, holds))
         if self.window is not None:
             self.estimates = np.concatenate(
                 (self.estimates, self.window.record_arrivals(times)))
 
-    def take(self, k: int) -> None:
-        """Drop the first ``k`` arrivals, handed out."""
-        self.times = self.times[k:]
-        self.holds = self.holds[k:]
-        self.estimates = self.estimates[k:]
-        self.taken += k
-
 
 def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_trace: list):
     """Yield the run's ``scenario.arrivals`` arrivals in time order, ties by
-    class index, in batches of ``_RNG_CHUNK`` rows, and append the traced
-    rows to the two trace lists. A batch is four columns: the arrival
-    times, the class indices m (an array), the departure times should the
-    calls be admitted and the limits of their classes. A departure time is
-    the arrival time plus the holding time, added in one numpy add per
-    batch: the same float add as adding them when the call is admitted.
+    class index, in blocks of ``_BLOCK`` rows, and append the traced rows
+    to the two trace lists. A block is four columns: the arrival times, the
+    class indices m (an array), the departure times should the calls be
+    admitted and the limits of their classes. A departure time is the
+    arrival time plus the holding time, one numpy add per block: the same
+    float add as adding them when the call is admitted.
 
     Each class with a positive rate draws ahead in chunks (``_ClassStream``).
     Every class's arrivals up to the earliest last drawn time among the
     classes are complete: the class with that last time draws on until
-    they are a batch or more, and the earliest of them, merged by one
-    stable sort, make the batch. Nothing here depends on the admission
-    decisions, so a batch's limits are computed before the loop sees it.
-    The windows give each class's estimate after each of its arrivals, per
-    chunk. The estimate vector at a row holds every class's latest
-    estimate: each class's estimates are forward-filled across the batch's
-    rows, and the allocator's floor rule runs on those columns. Rows before
-    the estimator is ready, and every row of a run that does not estimate,
-    get the configured partition.
+    they are a block or more, and the earliest of them, merged by one
+    stable ``argsort`` of their concatenated times, make the block; the
+    other columns are gathered by the same rows. Nothing here depends on
+    the admission decisions, so a block's limits are computed before the
+    loop sees it. The windows give each class's estimate after each of its
+    arrivals, per chunk. The estimate vector at a row holds every class's
+    latest estimate: each class's estimates are forward-filled across the
+    block's rows, and the allocator's floor rule runs on those columns.
+    Rows before the estimator is ready, and every row of a run that does
+    not estimate, get the configured partition.
     """
     config, rates = scenario.config, scenario.rates
     m_count = len(rates)
@@ -181,39 +178,39 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         for m, rate in enumerate(rates) if rate > 0
     ]
     classes = np.array([s.m for s in streams])
-    # each class's estimate before the batch: nan until its window holds a
+    # each class's estimate before the block: nan until its window holds a
     # gap, and 0.0 for a class configured at rate 0, which never arrives
     latest = [math.nan if rate > 0 else 0.0 for rate in rates]
-    # row -1 - m of a batch's estimate table holds class m's entry of latest
+    # row -1 - m of a block's estimate table holds class m's entry of latest
     before = np.arange(-1, -1 - m_count, -1)[:, None]
     stride = scenario.trace_stride
-    done = 0
-    while streams and done < scenario.arrivals:
-        size = min(_RNG_CHUNK, scenario.arrivals - done)
+    # ready once every class with a positive rate has a gap in its window;
+    # a class's estimates are nan until its second arrival, finite from then on
+    ready = False
+
+    # a function, so that no array of a block outlives it but its four columns
+    def block(done, size):
+        nonlocal ready, latest
         while True:
             horizon = min(s.last for s in streams)
-            counts = [bisect_right(s.times, horizon) for s in streams]
+            counts = [s.times.searchsorted(horizon, "right") for s in streams]
             if sum(counts) >= size:
                 break
+            if horizon == math.inf:
+                # the loop's heap sentinel is inf; a rate this small has no run
+                raise ValueError("arrival times overflow to inf: a positive rate is below "
+                                 "the smallest whose mean gap 1/rate is finite")
             min(streams, key=attrgetter("last")).refill()
-        times: list[float] = []
-        for s, k in zip(streams, counts):
-            times += s.times[:k]
+        times = np.concatenate([s.times[:k] for s, k in zip(streams, counts)])
         # stable, so equal times keep class order
-        order = sorted(range(len(times)), key=times.__getitem__)[:size]
-        rows = np.fromiter(order, np.intp, size)
-        times = [times[j] for j in order]
-        if times[-1] == math.inf:
-            # the loop's heap sentinel is inf; a rate this small has no run
-            raise ValueError("arrival times overflow to inf: a positive rate is below "
-                             "the smallest whose mean gap 1/rate is finite")
+        rows = times.argsort(kind="stable")[:size]
+        times = times[rows]
         cls = np.repeat(classes, counts)[rows]
-        per_class = np.bincount(cls, minlength=m_count).tolist()
-        taken = [per_class[s.m] for s in streams]
+        taken = np.bincount(cls, minlength=m_count)[classes].tolist()
         holds = np.concatenate([s.holds[:k] for s, k in zip(streams, counts)])[rows]
         limit = configured_limits[cls]
 
-        warm = size            # the first row whose limit follows the estimates
+        warm = 0 if ready else size    # the first row whose limit follows the estimates
         if estimating:
             span = np.arange(size)
             own = np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])
@@ -225,20 +222,20 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
             source[cls, span] = span
             np.maximum.accumulate(source, axis=1, out=source)
             columns = table[source]
-            # the estimator is ready once every class with a positive
-            # configured rate has a gap in its window: a class's column is
-            # nan until its second arrival and finite from then on
-            ready = ~np.isnan(columns).any(axis=0)
-            warm = int(ready.argmax()) if ready[-1] else size
-            columns = columns[:, warm:]
+            del own, table, source
+            latest = columns[:, -1].tolist()   # each class's estimate after the block
+            if not ready:
+                nan_free = ~np.isnan(columns).any(axis=0)
+                ready = bool(nan_free[-1])
+                warm = int(nan_free.argmax()) if ready else size
+                columns = columns[:, warm:]
             y = np.array(floors(*columns))
             limit[warm:] = y[cls[warm:], span[:size - warm]] + unreserved
-            for s, k in zip(streams, taken):
-                if k:
-                    latest[s.m] = s.estimates[k - 1]
 
-        for s, k in zip(streams, taken):
-            s.take(k)
+        for s, k in zip(streams, taken):     # drop the arrivals handed out
+            s.times, s.holds, s.estimates = s.times[k:], s.holds[k:], s.estimates[k:]
+        departs = (times + holds).tolist()
+        times = times.tolist()
         first = -(done + 1) % stride     # the row of the next traced arrival
         for j in range(first, warm, stride):
             partition_trace.append((times[j], *access))
@@ -252,8 +249,10 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
             partition_trace.extend((t, *row) for t, row in zip(at, ys))
             estimates = columns[:, traced].T.tolist()
             estimator_trace.extend((t, *row) for t, row in zip(at, estimates))
-        done += size
-        yield times, cls, np.add(times, holds).tolist(), limit.tolist()
+        return times, cls, departs, limit.tolist()
+
+    for done in range(0, scenario.arrivals if streams else 0, _BLOCK):
+        yield block(done, min(_BLOCK, scenario.arrivals - done))
 
 
 def _admit(rows, departures, occupied, area, last_t, blocked):
@@ -321,12 +320,12 @@ def run_simulation(
 ) -> SimMetrics:
     """Simulate the closed admission loop for ``scenario``.
 
-    The arrivals come in time order in batches (``_arrival_batches``), each
+    The arrivals come in time order in blocks (``_arrival_batches``), each
     row with its departure time and its class limit; a heap holds only the
-    pending departures. Before an arrival at time t, every departure at a
-    time <= t is processed, so a departure frees its channel before an
-    arrival at the same time is tested, and arrivals at the same time go by
-    class index.
+    pending departures, and each block is dropped before the next is built.
+    Before an arrival at time t, every departure at a time <= t is
+    processed, so a departure frees its channel before an arrival at the
+    same time is tested, and arrivals at the same time go by class index.
 
     Under the dynamic policy the guard partition follows the window
     estimates. Until the estimator is ready, the configured rates stand in.
@@ -335,7 +334,7 @@ def run_simulation(
     arrives, so it counts as ready from the start with estimate 0.0. The
     estimator sees every arrival, admitted or blocked, and the partition
     depends only on the estimates, so the limit each arrival is tested
-    against depends only on the arrival times. It is computed per batch,
+    against depends only on the arrival times. It is computed per block,
     ahead of the loop. The result is exact, not an approximation: each
     window's running sums over a chunk are one ``cumsum`` of the same adds
     and subtracts in the same order (``ArrivalWindow.record_arrivals``),
@@ -343,10 +342,10 @@ def run_simulation(
     columns as on one vector.
 
     The loop (``_admit``) only admits and notes the blocked rows. After
-    each batch, a class's measured arrivals are counted from the class
+    each block, a class's measured arrivals are counted from the class
     column and its blocks from the blocked rows; its admissions are the
     difference. The first ``int(warmup * arrivals)`` arrivals are not
-    measured: the batch that holds the first measured arrival is split
+    measured: the block that holds the first measured arrival is split
     after it, where the area restarts at 0.0 and the measured interval
     starts at its time. The area then sums the same terms in the same
     order as a loop that starts adding there. Without a warm-up, the
@@ -365,7 +364,7 @@ def run_simulation(
     m_count = len(scenario.rates)
     partition_trace: list = []
     estimator_trace: list = []
-    batches = _arrival_batches(scenario, partition_trace, estimator_trace)
+    feed = _arrival_batches(scenario, partition_trace, estimator_trace)
 
     logged = scenario.record_events
     held: list | None = None
@@ -390,29 +389,30 @@ def run_simulation(
     blocked: list[int] = []
     done = 0
 
-    for times, cls, departs, limits in batches:
+    for times, cls, departs, limits in feed:
         size = len(times)
         classes = cls.tolist()
         if logged:
             rows = zip(count(), times, classes, departs, limits)
         else:
             rows = zip(count(), times, departs, limits)
-        first = warmup_count - done      # the batch row of the first measured arrival
+        first = warmup_count - done      # the block row of the first measured arrival
         if warmup_count and 0 <= first < size:
             occupied, area, last_t = admit(
                 islice(rows, first + 1), departures, occupied, area, last_t, blocked)
             area, measure_start = 0.0, times[first]
         occupied, area, last_t = admit(rows, departures, occupied, area, last_t, blocked)
-        start = max(first, 0)            # the first measured row of the batch
+        start = max(first, 0)            # the first measured row of the block
         if start < size:
             arr_counts += np.bincount(cls[start:], minlength=m_count)
             # counted in Python: indexing cls by the blocked rows would make
-            # a small array of a new size per batch, and numpy keeps such
+            # a small array of a new size per block, and numpy keeps such
             # blocks in its cache, which raises the memory a run holds
             for row in blocked[bisect_left(blocked, start):]:
                 block_counts[classes[row]] += 1
         blocked.clear()
         done += size
+        del times, cls, departs, limits, classes, rows
 
     if logged and events:
         on_events(events)

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,21 @@ class TestCliModes:
         cfg.write_text("[traffic]\nrates = 0.3,0.3\n[simulation]\narrivals = 2000\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
+    def test_tiny_rate_runs_without_warnings(self, tmp_path, policy):
+        # the tiny rate's drawn-ahead arrival times overflow to inf; the run
+        # never reaches them, so it neither fails nor warns on stderr
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(f"[traffic]\nrates = 1e-307, 1\n"
+                       f"[simulation]\narrivals = 3000\npolicy = {policy}\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qosguard.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.ini")]) == 2

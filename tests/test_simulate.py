@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
@@ -187,6 +188,16 @@ class _FlooredRng:
         return np.floor(self.rng.exponential(scale, size) * 4) / 4
 
 
+class _MeanRng:
+    """A generator whose exponential draws are their mean, exactly."""
+
+    def __init__(self, rng):
+        pass
+
+    def exponential(self, scale, size=None):
+        return float(scale) if size is None else np.full(size, float(scale))
+
+
 class _ZeroGapRng:
     """A generator whose first chunk of exponential draws holds a 0.0 at
     index 5, so an arrival stream drawn from it repeats an arrival time."""
@@ -283,23 +294,29 @@ class TestMatchesReferenceLoop:
                                arrivals=5000, seed=9, policy=policy,
                                bypass_estimator=bypass, trace_stride=7,
                                record_events=True)
-        runs = {}
-        for chunk in (1, 7, 128, 512):
+        runs = []
+        # (draw chunk, block): draw chunks under blocks of 1024 rows, then
+        # blocks of one row, smaller than a chunk and not a multiple of one
+        for chunk, block in [(1, 1024), (7, 1024), (128, 1024), (512, 1024),
+                             (256, 1), (256, 100), (7, 700), (256, 700)]:
             monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
-            runs[chunk] = asdict(run_simulation(scenario))
-        assert runs[1] == runs[7] == runs[128] == runs[512]
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            runs.append(asdict(run_simulation(scenario)))
+        for run in runs[1:]:
+            assert run == runs[0]
 
-    # warm-up counts at and around the batch boundaries: the first measured
-    # arrival opens a batch, closes one, or sits inside one, and the last
-    # arrival is the only one measured; warmup = k / arrivals is exact
-    @pytest.mark.parametrize("warmup_count", [
+    # warm-up counts at and around the draw chunk and block boundaries: the
+    # first measured arrival opens a block, closes one, or sits inside one,
+    # and the last arrival is the only one measured; warmup = k / arrivals
+    # is exact
+    @pytest.mark.parametrize("warmup_count", sorted({
         0, 1, simulate._RNG_CHUNK - 1, simulate._RNG_CHUNK, simulate._RNG_CHUNK + 1,
-        4 * simulate._RNG_CHUNK - 1,
-    ])
+        simulate._BLOCK - 1, simulate._BLOCK, simulate._BLOCK + 1, 2 * simulate._BLOCK - 1,
+    }))
     @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
     @pytest.mark.parametrize("record_events", [False, True])
     def test_warmup_boundaries_match_reference(self, warmup_count, policy, record_events):
-        arrivals = 4 * simulate._RNG_CHUNK
+        arrivals = 2 * simulate._BLOCK
         scenario = SimScenario(config=SystemConfig(12, 3, 1.0, 20), rates=(6.0, 4.0, 3.0),
                                arrivals=arrivals, seed=21, policy=policy,
                                warmup=warmup_count / arrivals, trace_stride=5,
@@ -308,6 +325,32 @@ class TestMatchesReferenceLoop:
         assert sum(metrics.per_class_arrivals) == arrivals - warmup_count
         # blocked rows fall on both sides of the split, except with one measured
         assert sum(metrics.per_class_blocks) > 0 or warmup_count == arrivals - 1
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+
+    @pytest.mark.parametrize("block", [64, simulate._BLOCK])
+    @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
+    def test_time_tie_across_a_block_boundary_matches_reference(self, monkeypatch, policy,
+                                                                 block):
+        # every draw is its mean: class 1 arrives at 1, 2, 3, ... and class 2
+        # at block, 2 * block, ..., so rows block - 1 and block, the last of
+        # one block and the first of the next, tie at time block
+        _wrap_draws(monkeypatch, _MeanRng)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        scenario = SimScenario(config=SystemConfig(4, 1, 0.25, 10), rates=(1.0, 1.0 / block),
+                               arrivals=2 * block + 5, policy=policy, record_events=True)
+        metrics = run_simulation(scenario)
+        arrivals = [ev[:3] for ev in metrics.events if ev[1] == "arrival"]
+        assert arrivals[block - 1:block + 1] == [(block, "arrival", 1), (block, "arrival", 2)]
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+
+    @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
+    def test_tiny_rate_matches_reference(self, policy):
+        # class 1's drawn-ahead arrival times overflow to inf after a few
+        # arrivals near 1e308, none of which the run reaches
+        scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30), rates=(1e-307, 1.0),
+                               arrivals=3000, seed=5, policy=policy, record_events=True)
+        metrics = run_simulation(scenario)
+        assert metrics.per_class_arrivals[0] == 0
         assert asdict(metrics) == asdict(run_simulation_reference(scenario))
 
     @pytest.mark.parametrize("record_events", [False, True])
@@ -344,6 +387,28 @@ class TestRuntimeFaults:
                                arrivals=10, policy="sharing")
         with pytest.raises(ValueError, match="overflow"):
             run_simulation(scenario)
+
+
+def peak_traced_bytes(scenario) -> int:
+    tracemalloc.start()
+    try:
+        run_simulation(scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("policy", ["dynamic", "sharing"])
+def test_memory_does_not_grow_with_run_length(policy):
+    # without events a run holds one block of arrivals and the pending
+    # departures, whatever its length
+    scenario = SimScenario(config=SystemConfig(100, 10, 1 / 120, 100),
+                           rates=(0.25, 1 / 3, 1 / 6, 1 / 12),
+                           arrivals=5_000, seed=8, policy=policy)
+    run_simulation(scenario)     # the first run's one-time set-up is not measured
+    short = peak_traced_bytes(scenario)
+    long = peak_traced_bytes(replace(scenario, arrivals=40_000))
+    assert long < 1.5 * short, (short, long)
 
 
 class TestComparePolicies:
