@@ -10,7 +10,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .config import (
     render_manifest,
     sweep_points,
 )
-from .simulate import SimScenario, compare_policies, run_simulation
+from .simulate import SimScenario, compare_policies, event_fields, run_simulation
 
 
 # rows per ``%`` operation: the writer holds one block's text at a time
@@ -58,10 +57,27 @@ def _write_csv(path: Path, header, rows) -> None:
             _write_rows(fh.write, row_format, chain((first,), rows))
 
 
-def _event_sink(fh, rep: int):
+def _event_sink(fh, rep: int, m_count: int):
     """Write each event batch of replication ``rep`` to ``fh`` as
-    ``_write_csv`` would: ``.9g`` times and every other field by ``str``."""
-    return partial(_write_rows, fh.write, f"{rep},%.9g,%s,%s,%s,%s\r\n")
+    ``_write_csv`` would: ``.9g`` times and every other field by ``str``.
+    A batch is ``run_simulation``'s three columns; the kind, class and
+    decision fields come from a table of their text by event code, and
+    each block of up to ``_ROW_BLOCK`` rows is one ``%`` operation."""
+    labels = np.array(["%s,%s,%s" % fields for fields in event_fields(m_count)],
+                      dtype=object)
+    row_format = f"{rep},%.9g,%s,%s\r\n"
+
+    def write(time, code, occupied):
+        for start in range(0, len(time), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            rows = len(time[block])
+            fields = [None] * (3 * rows)
+            fields[0::3] = time[block].tolist()
+            fields[1::3] = labels[code[block]].tolist()
+            fields[2::3] = occupied[block].tolist()
+            fh.write((row_format * rows) % tuple(fields))
+
+    return write
 
 
 def _partitions(config, rates):
@@ -147,7 +163,7 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
         if events_fh is not None:
             events_fh.write("replication,time,kind,class,decision,occupied_after\r\n")
         for rep in range(spec.replications):
-            sink = _event_sink(events_fh, rep) if events_fh is not None else None
+            sink = _event_sink(events_fh, rep, m_count) if events_fh is not None else None
             metrics = run_simulation(
                 _scenario(spec, rates, spec.seed + rep, spec.events), on_events=sink
             )

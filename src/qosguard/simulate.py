@@ -17,11 +17,12 @@ limit. Departures are exponential. Runs are deterministic for a fixed
 scenario, and both policies can be replayed on the identical random draws
 for paired comparison.
 
-With ``record_events`` set, a second loop, which also keeps each pending
-departure's class, hands its per-call event log out in batches of at least
-``_EVENT_BATCH`` events, to a caller's ``on_events`` sink as the run goes
-or, without one, into ``SimMetrics.events``. A sink keeps the memory a run
-holds independent of its length.
+With ``record_events`` set, each block's per-call events are built after
+the loop has admitted it, with numpy, from the block's columns and its
+blocked rows, and handed out as one batch of three columns per block: to a
+caller's ``on_events`` sink as the run goes or, without one, into
+``SimMetrics.events``. A sink keeps the memory a run holds independent of
+its length.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from itertools import count, islice
 from operator import attrgetter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -48,11 +48,12 @@ POLICY_SHARING = "sharing"
 # a cache: arrays of many different smaller sizes fill that cache and raise
 # the memory a run holds.
 _RNG_CHUNK = 256
-# arrivals per block handed to the loop; it does not change the run
+# arrivals per block handed to the loop, and per event batch; it does not
+# change the run
 _BLOCK = 1024
-# events per batch handed to an on_events sink (a batch closes after the
-# arrival that fills it, so it may also hold a few departures beyond this)
-_EVENT_BATCH = 4096
+# (kind, decision) of an event by its code modulo 3; the code of an event of
+# class index m is 3 * m plus the kind's position here
+_EVENT_KINDS = (("arrival", "accept"), ("arrival", "block"), ("departure", "release"))
 
 
 @dataclass(frozen=True)
@@ -140,19 +141,22 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
     """Yield the run's ``scenario.arrivals`` arrivals in time order, ties by
     class index, in blocks of ``_BLOCK`` rows, and append the traced rows
     to the two trace lists. A block is four columns: the arrival times, the
-    class indices m (an array), the departure times should the calls be
-    admitted and the limits of their classes. A departure time is the
-    arrival time plus the holding time, one numpy add per block: the same
-    float add as adding them when the call is admitted.
+    class indices m and the departure times should the calls be admitted,
+    as numpy arrays, and the limits of their classes, a list. A departure
+    time is the arrival time plus the holding time, one numpy add per
+    block: the same float add as adding them when the call is admitted.
 
     Each class with a positive rate draws ahead in chunks (``_ClassStream``).
-    Every class's arrivals up to the earliest last drawn time among the
-    classes are complete: the class with that last time draws on until
-    they are a block or more, and the earliest of them, merged by one
-    stable ``argsort`` of their concatenated times, make the block; the
-    other columns are gathered by the same rows. Nothing here depends on
-    the admission decisions, so a block's limits are computed before the
-    loop sees it. The windows give each class's estimate after each of its
+    Every class's arrivals before the earliest last drawn time among the
+    classes are complete, and so are those at that time of the first class
+    that drew it and of the classes before it. A later class's arrivals at
+    that time wait: a gap of 0.0, or one too small to change the time, may
+    give the first class another arrival at it. That class draws on until
+    the complete arrivals are a block or more, and the earliest of them,
+    merged by one stable ``argsort`` of their concatenated times, make the
+    block; the other columns are gathered by the same rows. Nothing here
+    depends on the admission decisions, so a block's limits are computed
+    before the loop sees it. The windows give each class's estimate after each of its
     arrivals, per chunk. The estimate vector at a row holds every class's
     latest estimate: each class's estimates are forward-filled across the
     block's rows, and the allocator's floor rule runs on those columns.
@@ -192,15 +196,19 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
     def block(done, size):
         nonlocal ready, latest
         while True:
-            horizon = min(s.last for s in streams)
-            counts = [s.times.searchsorted(horizon, "right") for s in streams]
+            low = min(streams, key=attrgetter("last"))
+            horizon = low.last
+            # low may draw more arrivals at horizon, which go before a later
+            # class's arrivals at that time
+            counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
+                      for s in streams]
             if sum(counts) >= size:
                 break
             if horizon == math.inf:
                 # the loop's heap sentinel is inf; a rate this small has no run
                 raise ValueError("arrival times overflow to inf: a positive rate is below "
                                  "the smallest whose mean gap 1/rate is finite")
-            min(streams, key=attrgetter("last")).refill()
+            low.refill()
         times = np.concatenate([s.times[:k] for s, k in zip(streams, counts)])
         # stable, so equal times keep class order
         rows = times.argsort(kind="stable")[:size]
@@ -234,25 +242,30 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
 
         for s, k in zip(streams, taken):     # drop the arrivals handed out
             s.times, s.holds, s.estimates = s.times[k:], s.holds[k:], s.estimates[k:]
-        departs = (times + holds).tolist()
-        times = times.tolist()
         first = -(done + 1) % stride     # the row of the next traced arrival
-        for j in range(first, warm, stride):
-            partition_trace.append((times[j], *access))
+        for t in times[first:warm:stride].tolist():
+            partition_trace.append((t, *access))
             if estimating:
-                estimator_trace.append((times[j], *rates))
+                estimator_trace.append((t, *rates))
         j = warm + (first - warm) % stride   # the first traced row from warm on
         if j < size:
             traced = np.arange(j - warm, size - warm, stride)
-            at = times[j::stride]
+            at = times[j::stride].tolist()
             ys = y[:, traced].T.astype(np.intp).tolist()
             partition_trace.extend((t, *row) for t, row in zip(at, ys))
             estimates = columns[:, traced].T.tolist()
             estimator_trace.extend((t, *row) for t, row in zip(at, estimates))
-        return times, cls, departs, limit.tolist()
+        return times, cls, times + holds, limit.tolist()
 
     for done in range(0, scenario.arrivals if streams else 0, _BLOCK):
         yield block(done, min(_BLOCK, scenario.arrivals - done))
+
+
+def event_fields(m_count: int) -> list[tuple[str, int, str]]:
+    """The (kind, class, decision) fields of each event code, by code, for
+    a run of ``m_count`` classes; the class is numbered from 1."""
+    return [(kind, m + 1, decision)
+            for m in range(m_count) for kind, decision in _EVENT_KINDS]
 
 
 def _admit(rows, departures, occupied, area, last_t, blocked):
@@ -282,41 +295,54 @@ def _admit(rows, departures, occupied, area, last_t, blocked):
     return occupied, area, last_t
 
 
-def _admit_logged(rows, departures, occupied, area, last_t, blocked, events, on_events):
-    """``_admit`` over rows of (row, time, class index m, departure time,
-    limit), which also logs every event to ``events``.
+def _block_events(times, cls, departs, blocked, pending, occupied):
+    """The events of one admitted block, in the order the loop met them, as
+    three columns: the event times, their codes (``event_fields``) and the
+    occupancy after each event; and the departures still pending after it.
 
-    The heap holds (departure time, m), so that a departure's event names
-    its class; tied departures pop by class, as in a heap of every event.
-    Once ``events`` holds ``_EVENT_BATCH`` events, checked after each
-    arrival, a copy goes to ``on_events`` and ``events`` is emptied.
+    ``times``, ``cls`` and ``departs`` are the block's columns, ``blocked``
+    its blocked rows in order and ``occupied`` the occupancy before it.
+    ``pending`` holds the departure times and class indices of the admitted
+    calls not yet logged as departed. The loop's heap pops a departure
+    admitted at row j with time dt just before the first row i >= j + 1
+    whose time is >= dt, its slot; departures that share a slot leave by
+    (dt, class), the order of a heap of (dt, class) entries. A departure
+    whose slot is past the block's last row is carried in the pending
+    departures to the next block, where its slot is found again.
     """
-    push, pop = heapq.heappush, heapq.heappop
-    log = events.append
-    for row, t, m, departure, limit in rows:
-        while departures[0][0] <= t:
-            dt, dm = pop(departures)
-            area += occupied * (dt - last_t)
-            last_t = dt
-            occupied -= 1
-            log((dt, "departure", dm + 1, "release", occupied))
-        area += occupied * (t - last_t)
-        last_t = t
-        if occupied < limit:
-            occupied += 1
-            push(departures, (departure, m))
-            log((t, "arrival", m + 1, "accept", occupied))
-        else:
-            blocked.append(row)
-            log((t, "arrival", m + 1, "block", occupied))
-        if len(events) >= _EVENT_BATCH:
-            on_events(events.copy())
-            events.clear()
-    return occupied, area, last_t
+    size = len(times)
+    carried = len(pending[0])
+    refused = np.zeros(size, dtype=bool)
+    refused[blocked] = True
+    rows = np.flatnonzero(~refused)
+    dt = np.concatenate((pending[0], departs[rows]))
+    dm = np.concatenate((pending[1], cls[rows]))
+    slot = times.searchsorted(dt, "left")
+    np.maximum(slot[carried:], rows + 1, out=slot[carried:])
+    order = np.lexsort((dm, dt, slot))
+    slot, dt, dm = slot[order], dt[order], dm[order]
+    gone = int(slot.searchsorted(size))   # the departures logged in this block
+    # each departure follows the arrivals before its slot, and each arrival
+    # the departures at or before its row
+    at_departure = slot[:gone] + np.arange(gone)
+    is_arrival = np.ones(size + gone, dtype=bool)
+    is_arrival[at_departure] = False
+    time = np.empty(size + gone)
+    time[is_arrival] = times
+    time[at_departure] = dt[:gone]
+    code = np.empty(size + gone, dtype=np.intp)
+    code[is_arrival] = 3 * cls + refused
+    code[at_departure] = 3 * dm[:gone] + 2
+    after = np.empty(size + gone, dtype=np.intp)     # +1 per accept, -1 per release
+    after[is_arrival] = ~refused
+    after[at_departure] = -1
+    after[0] += occupied
+    after.cumsum(out=after)
+    return (time, code, after), (dt[gone:], dm[gone:])
 
 
 def run_simulation(
-    scenario: SimScenario, on_events: Callable[[list], None] | None = None
+    scenario: SimScenario, on_events: Callable[..., None] | None = None
 ) -> SimMetrics:
     """Simulate the closed admission loop for ``scenario``.
 
@@ -351,14 +377,17 @@ def run_simulation(
     order as a loop that starts adding there. Without a warm-up, the
     measured interval starts at 0.0.
 
-    When ``scenario.record_events`` is set, the loop that also logs
-    (``_admit_logged``) runs instead, and events (time, kind, class,
-    decision, occupied) are collected in batches. A batch is passed to
-    ``on_events`` once it holds ``_EVENT_BATCH`` events, checked after each
-    arrival, and the last partial batch is passed when the run ends; the
-    batches concatenate to the run's whole event log in order. With a sink,
-    ``SimMetrics.events`` is None and the loop keeps no batch it has passed
-    on. Without one, the batches collect into ``SimMetrics.events``.
+    When ``scenario.record_events`` is set, each block's events are built
+    after the loop has admitted it (``_block_events``) and passed to
+    ``on_events`` as one batch of three numpy columns: the event times
+    (float), the event codes and the occupancy after each event (int);
+    ``event_fields`` gives the fields of each code. A block's batch holds
+    its arrivals and the departures logged before each of them; the calls
+    still pending when the run ends log nothing. The batches concatenate to
+    the run's whole event log in order. With a sink, ``SimMetrics.events``
+    is None and the run keeps no batch it has passed on. Without one, each
+    batch is expanded into ``SimMetrics.events`` as (time, kind, class,
+    decision, occupied) tuples.
     """
     n = scenario.config.n_channels
     m_count = len(scenario.rates)
@@ -368,16 +397,15 @@ def run_simulation(
 
     logged = scenario.record_events
     held: list | None = None
-    if logged:
-        if on_events is None:
-            held = []
-            on_events = held.extend
-        events: list = []
-        departures: list = [(math.inf, 0)]
-        admit = partial(_admit_logged, events=events, on_events=on_events)
-    else:
-        departures = [math.inf]
-        admit = _admit
+    if logged and on_events is None:
+        held = []
+        fields = event_fields(m_count)
+
+        def on_events(time, code, occupied):
+            held.extend((t, *fields[c], o) for t, c, o in
+                        zip(time.tolist(), code.tolist(), occupied.tolist()))
+    pending = (np.empty(0), np.empty(0, dtype=np.intp))
+    departures = [math.inf]
 
     warmup_count = int(scenario.warmup * scenario.arrivals)
     occupied = 0
@@ -392,16 +420,14 @@ def run_simulation(
     for times, cls, departs, limits in feed:
         size = len(times)
         classes = cls.tolist()
-        if logged:
-            rows = zip(count(), times, classes, departs, limits)
-        else:
-            rows = zip(count(), times, departs, limits)
+        rows = zip(count(), times.tolist(), departs.tolist(), limits)
+        before = occupied
         first = warmup_count - done      # the block row of the first measured arrival
         if warmup_count and 0 <= first < size:
-            occupied, area, last_t = admit(
+            occupied, area, last_t = _admit(
                 islice(rows, first + 1), departures, occupied, area, last_t, blocked)
-            area, measure_start = 0.0, times[first]
-        occupied, area, last_t = admit(rows, departures, occupied, area, last_t, blocked)
+            area, measure_start = 0.0, float(times[first])
+        occupied, area, last_t = _admit(rows, departures, occupied, area, last_t, blocked)
         start = max(first, 0)            # the first measured row of the block
         if start < size:
             arr_counts += np.bincount(cls[start:], minlength=m_count)
@@ -410,12 +436,14 @@ def run_simulation(
             # blocks in its cache, which raises the memory a run holds
             for row in blocked[bisect_left(blocked, start):]:
                 block_counts[classes[row]] += 1
+        if logged:
+            batch, pending = _block_events(times, cls, departs, blocked, pending, before)
+            on_events(*batch)
+            del batch
         blocked.clear()
         done += size
         del times, cls, departs, limits, classes, rows
 
-    if logged and events:
-        on_events(events)
     duration = max(last_t - measure_start, 0.0)
     arrived, blocks = arr_counts.tolist(), block_counts
     blocking = tuple(b / a if a else 0.0 for a, b in zip(arrived, blocks))

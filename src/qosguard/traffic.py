@@ -113,7 +113,3 @@ class ArrivalWindow:
                 f"class {self.class_index}: no inter-arrival gap observed yet"
             )
         return len(self.gaps) / self._gap_sum
-
-    @property
-    def has_estimate(self) -> bool:
-        return len(self.gaps) > 0

@@ -35,7 +35,7 @@ events = true
 """
 
 # (rates, arrivals, replications, policy); 9001 arrivals is not a multiple of
-# the batch size, and 700 arrivals make a run shorter than one batch
+# the block size, and 700 arrivals make a run shorter than one block
 CONFIGS = {
     "dynamic-3-reps": ("9, 12, 6, 3", 6000, 3, "dynamic"),
     "sharing-3-reps": ("9, 12, 6, 3", 6000, 3, "sharing"),
@@ -63,10 +63,14 @@ def held_events(cfg):
     ]
 
 
-@pytest.mark.parametrize("batch", [simulate._EVENT_BATCH, 7])
+# (arrivals per block, rows per ``%`` operation): the defaults, and blocks of
+# 7 arrivals whose batches the writer formats in several 5-row operations
+@pytest.mark.parametrize("block, row_block", [(simulate._BLOCK, cli._ROW_BLOCK), (7, 5)],
+                         ids=[str(simulate._BLOCK), "7"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, batch):
-    monkeypatch.setattr(simulate, "_EVENT_BATCH", batch)
+def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block, row_block):
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
     cfg = write_config(tmp_path, *CONFIGS[name])
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -75,18 +79,30 @@ def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, batch)
     assert (out / "events.csv").read_bytes() == reference.read_bytes()
 
 
+def expand(fields, time, code, occupied):
+    """A batch's columns as (time, kind, class, decision, occupied) events,
+    with ``fields`` the (kind, class, decision) of each event code."""
+    return [(t, *fields[c], o)
+            for t, c, o in zip(time.tolist(), code.tolist(), occupied.tolist())]
+
+
 @pytest.mark.parametrize("arrivals", [700, 9001])
 @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
 def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
     spec = parse_config(write_config(tmp_path, arrivals=arrivals, policy=policy).read_text())
     scenario = cli._scenario(spec, spec.rates, spec.seed, True)
+    fields = simulate.event_fields(len(scenario.rates))
     batches = []
-    streamed = run_simulation(scenario, on_events=batches.append)
+    streamed = run_simulation(
+        scenario, on_events=lambda *batch: batches.append(expand(fields, *batch)))
     held = run_simulation(scenario)
     assert streamed.events is None
     assert [ev for batch in batches for ev in batch] == held.events
-    assert all(len(batch) >= simulate._EVENT_BATCH for batch in batches[:-1])
-    assert 0 < len(batches[-1])
+    # one batch per block of arrivals
+    arrivals_per_batch = [sum(ev[1] == "arrival" for ev in batch) for batch in batches]
+    assert all(k == simulate._BLOCK for k in arrivals_per_batch[:-1])
+    assert 0 < arrivals_per_batch[-1] <= simulate._BLOCK
+    assert sum(arrivals_per_batch) == arrivals
     assert streamed.per_class_blocks == held.per_class_blocks
     assert streamed.partition_trace == held.partition_trace
 
@@ -112,6 +128,9 @@ def peak_traced_bytes(tmp_path, arrivals) -> int:
 
 
 def test_memory_does_not_grow_with_run_length(tmp_path):
+    # the first run's one-time set-up is not measured
+    assert main(["simulate", "--config", str(write_config(tmp_path, arrivals=5_000)),
+                 "--out", str(tmp_path / "out-warm")]) == 0
     short = peak_traced_bytes(tmp_path, 5_000)
     long = peak_traced_bytes(tmp_path, 20_000)
     assert long < 1.5 * short, (short, long)

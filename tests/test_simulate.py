@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import run_simulation_reference
@@ -198,6 +198,20 @@ class _MeanRng:
         return float(scale) if size is None else np.full(size, float(scale))
 
 
+class _ZeroHoldRng:
+    """A generator whose exponential draws are their mean, except holding
+    times, which are 0.0: a draw with the mean holding time 1 / MU is one."""
+
+    MU = 4.0
+
+    def __init__(self, rng):
+        pass
+
+    def exponential(self, scale, size=None):
+        value = 0.0 if scale == 1.0 / self.MU else float(scale)
+        return value if size is None else np.full(size, value)
+
+
 class _ZeroGapRng:
     """A generator whose first chunk of exponential draws holds a 0.0 at
     index 5, so an arrival stream drawn from it repeats an arrival time."""
@@ -255,11 +269,26 @@ class TestMatchesReferenceLoop:
     # float, trace row and event
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(scenario=scenarios(), quantised=st.booleans())
-    def test_same_metrics_as_reference(self, monkeypatch, scenario, quantised):
+    # blocks of 1 and 7 rows carry pending departures across many block
+    # boundaries, where the event log must place them as the heap pops them.
+    # Floored draws are often 0.0, so a call can depart at its own arrival
+    # time; they also repeat arrival times, which only the sharing policy,
+    # without the window estimator, accepts
+    @given(scenario=scenarios(), draws=st.sampled_from([None, _QuantisedRng, _FlooredRng]),
+           block=st.sampled_from([1, 7, 64, 1024]))
+    # class 3's second chunk of draws starts with a 0.0 gap, so its 257th
+    # arrival is at the time of its 256th, the last it drew before, and
+    # goes before class 4's arrival at that time, the run's 503rd
+    @example(scenario=SimScenario(config=SystemConfig(1, 0, 1.0, 1),
+                                  rates=(0.0, 0.0, 3.5, 3.0), arrivals=503, seed=0),
+             draws=_FlooredRng, block=1024)
+    def test_same_metrics_as_reference(self, monkeypatch, scenario, draws, block):
         with monkeypatch.context() as patch:
-            if quantised:
-                _quantise_draws(patch)
+            patch.setattr(simulate, "_BLOCK", block)
+            if draws is not None:
+                _wrap_draws(patch, draws)
+            if draws is _FlooredRng:
+                scenario = replace(scenario, policy="sharing")
             assert asdict(run_simulation(scenario)) == asdict(
                 run_simulation_reference(scenario))
 
@@ -341,6 +370,24 @@ class TestMatchesReferenceLoop:
         metrics = run_simulation(scenario)
         arrivals = [ev[:3] for ev in metrics.events if ev[1] == "arrival"]
         assert arrivals[block - 1:block + 1] == [(block, "arrival", 1), (block, "arrival", 2)]
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+
+    @pytest.mark.parametrize("block", [7, 64, simulate._BLOCK])
+    def test_zero_holding_time_across_a_block_boundary(self, monkeypatch, block):
+        # class 1 arrives at 1, 2, 3, ... and class 2 at block, 2 * block,
+        # ..., and every holding time is 0.0: the call admitted on row
+        # block - 1, the last of a block, departs at the time of row block,
+        # the first of the next, and must leave before that arrival, not
+        # before its own
+        _wrap_draws(monkeypatch, _ZeroHoldRng)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        scenario = SimScenario(config=SystemConfig(4, 1, _ZeroHoldRng.MU, 10),
+                               rates=(1.0, 1.0 / block), arrivals=2 * block + 5,
+                               policy="sharing", record_events=True)
+        metrics = run_simulation(scenario)
+        at = [ev for ev in metrics.events if ev[0] == block]
+        assert at == [(block, "arrival", 1, "accept", 1), (block, "departure", 1, "release", 0),
+                      (block, "arrival", 2, "accept", 1), (block, "departure", 2, "release", 0)]
         assert asdict(metrics) == asdict(run_simulation_reference(scenario))
 
     @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
