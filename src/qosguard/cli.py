@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain, islice
 from pathlib import Path
 
@@ -17,15 +17,8 @@ import numpy as np
 
 from . import markov, vlc
 from .allocator import floor_rule
-from .config import (
-    MODES,
-    ConfigError,
-    ExperimentSpec,
-    parse_config,
-    render_manifest,
-    sweep_points,
-)
-from .simulate import SimScenario, compare_policies, event_fields, run_simulation
+from .config import ConfigError, ExperimentSpec, parse_config, render_manifest, sweep_points
+from .simulate import POLICIES, SimScenario, compare_policies, event_fields, run_simulation
 
 
 # rows per ``%`` operation: the writer holds one block's text at a time
@@ -135,18 +128,13 @@ def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
     )
 
 
-def _scenario(spec: ExperimentSpec, rates, seed: int, record_events: bool = False) -> SimScenario:
-    return SimScenario(
-        config=spec.config,
-        rates=rates,
-        arrivals=spec.arrivals,
-        seed=seed,
-        policy=spec.policy,
-        warmup=spec.warmup,
-        bypass_estimator=spec.bypass_estimator,
-        trace_stride=spec.trace_stride,
-        record_events=record_events,
-    )
+def _replications(spec: ExperimentSpec, rates) -> list[SimScenario]:
+    """The scenario of each replication at ``rates``: every other
+    ``SimScenario`` field taken from the spec by name, and replication r
+    seeded ``spec.seed + r``."""
+    run = {f.name: getattr(spec, f.name) for f in fields(SimScenario)}
+    return [SimScenario(**{**run, "rates": rates, "seed": spec.seed + rep})
+            for rep in range(spec.replications)]
 
 
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
@@ -162,11 +150,9 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
     with events_file as events_fh:
         if events_fh is not None:
             events_fh.write("replication,time,kind,class,decision,occupied_after\r\n")
-        for rep in range(spec.replications):
+        for rep, scenario in enumerate(_replications(spec, rates)):
             sink = _event_sink(events_fh, rep, m_count) if events_fh is not None else None
-            metrics = run_simulation(
-                _scenario(spec, rates, spec.seed + rep, spec.events), on_events=sink
-            )
+            metrics = run_simulation(scenario, on_events=sink)
             blocking_rows += [
                 (rep, m + 1, metrics.per_class_arrivals[m], metrics.per_class_blocks[m],
                  metrics.empirical_blocking[m])
@@ -194,9 +180,9 @@ def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
     rates = spec.rates
     m_count = len(rates)
     blocking_rows, util_rows = [], []
-    for rep in range(spec.replications):
-        dyn, share = compare_policies(_scenario(spec, rates, spec.seed + rep))
-        for policy, metrics in (("dynamic", dyn), ("sharing", share)):
+    for rep, scenario in enumerate(_replications(spec, rates)):
+        # compare_policies returns the runs in the order of POLICIES
+        for policy, metrics in zip(POLICIES, compare_policies(scenario)):
             blocking_rows += [
                 (rep, policy, m + 1, metrics.per_class_arrivals[m],
                  metrics.per_class_blocks[m], metrics.empirical_blocking[m])
@@ -225,8 +211,8 @@ def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
     for p, point in enumerate(rates.tolist()):
         analytic = report.per_class[p].tolist()
         analytic_util = float(report.utilization[p])
-        for rep in range(spec.replications):
-            metrics = run_simulation(_scenario(spec, point, spec.seed + rep))
+        for rep, scenario in enumerate(_replications(spec, point)):
+            metrics = run_simulation(scenario)
             for m in range(m_count):
                 blocking_rows.append(
                     (
@@ -301,12 +287,12 @@ def main(argv=None) -> int:
         prog="qosguard",
         description="Dynamic guard-channel admission control: analysis, simulation, VLC link budgets.",
     )
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=_MODE_RUNNERS)
     parser.add_argument("--config", required=True, help="experiment config file (INI)")
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--arrivals", type=int, default=None, help="override simulated arrivals")
-    parser.add_argument("--policy", choices=["dynamic", "sharing"], default=None)
+    parser.add_argument("--policy", choices=POLICIES, default=None)
     args = parser.parse_args(argv)
 
     try:

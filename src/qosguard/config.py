@@ -18,10 +18,8 @@ import numpy as np
 
 from .allocator import SystemConfig
 from .markov import total_rate
-from .simulate import POLICY_DYNAMIC, POLICY_SHARING
+from .simulate import SimScenario, finite_non_negative
 from .vlc import OpticalLinkParams
-
-MODES = ("analyze", "simulate", "compare", "sweep", "vlc-link")
 
 # a 120 s mean holding time unless [system] gives mu or holding_time
 DEFAULT_HOLDING_TIME = 120.0
@@ -36,11 +34,6 @@ def _float_list(raw: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
-
-
-def _finite_non_negative(values) -> bool:
-    """Every entry finite and >= 0, and a finite sum."""
-    return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
 
 
 def _bool(raw: str) -> bool:
@@ -67,10 +60,19 @@ def _key(section, default=None, *, key=None, parse=None, check=None, rule=""):
     )
 
 
-_AT_LEAST_1 = dict(check=lambda v: v >= 1, rule="must be >= 1")
+_RUN_FIELDS = {f.name: f for f in fields(SimScenario)}
+
+
+def _run_key(name, section="simulation", **changes):
+    """The key of ``SimScenario`` field ``name``, with the field's default,
+    check and rule unless ``changes`` give others."""
+    f = _RUN_FIELDS[name]
+    return _key(section, **{"default": f.default, **f.metadata, **changes})
+
+
 _GRID = dict(
     parse=_float_list,
-    check=lambda g: _finite_non_negative(g) and all(b > a for a, b in zip(g, g[1:])),
+    check=lambda g: finite_non_negative(g) and all(b > a for a, b in zip(g, g[1:])),
     rule="entries must be finite, >= 0 and strictly increasing, with a finite sum",
 )
 
@@ -78,27 +80,22 @@ _GRID = dict(
 @dataclass(frozen=True)
 class ExperimentSpec:
     config: SystemConfig
-    rates: tuple[float, ...] | None = _key(
-        "traffic", parse=_float_list, check=_finite_non_negative,
-        rule="entries must be finite and >= 0 with a finite sum",
-    )
+    rates: tuple[float, ...] | None = _run_key("rates", "traffic", default=None,
+                                               parse=_float_list)
     ratio: tuple[float, ...] | None = _key(
-        "traffic", parse=_float_list, check=lambda r: _finite_non_negative(r) and sum(r) > 0,
+        "traffic", parse=_float_list, check=lambda r: finite_non_negative(r) and sum(r) > 0,
         rule="entries must be finite and >= 0 with a positive, finite sum",
     )
     lambda_total_grid: tuple[float, ...] | None = _key("sweep", key="lambda_total", **_GRID)
     lambda_1_grid: tuple[float, ...] | None = _key("sweep", key="lambda_1", **_GRID)
-    arrivals: int = _key("simulation", 1_000_000, **_AT_LEAST_1)
-    warmup: float = _key("simulation", 0.1, check=lambda v: 0 <= v < 1, rule="must be in [0, 1)")
-    policy: str = _key(
-        "simulation", POLICY_DYNAMIC, check=lambda v: v in (POLICY_DYNAMIC, POLICY_SHARING),
-        rule="must be dynamic or sharing",
-    )
-    bypass_estimator: bool = _key("simulation", False)
-    replications: int = _key("simulation", 1, **_AT_LEAST_1)
-    trace_stride: int = _key("simulation", 1000, **_AT_LEAST_1)
+    arrivals: int = _run_key("arrivals")
+    warmup: float = _run_key("warmup")
+    policy: str = _run_key("policy")
+    bypass_estimator: bool = _run_key("bypass_estimator")
+    replications: int = _key("simulation", 1, check=lambda v: v >= 1, rule="must be >= 1")
+    trace_stride: int = _run_key("trace_stride")
     events: bool = _key("simulation", False)
-    seed: int = _key("simulation", 0, check=lambda v: v >= 0, rule="must be >= 0")
+    seed: int = _run_key("seed")
     vlc: OpticalLinkParams = field(default_factory=OpticalLinkParams)
 
     def __post_init__(self):

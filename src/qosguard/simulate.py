@@ -17,12 +17,15 @@ limit. Departures are exponential. Runs are deterministic for a fixed
 scenario, and both policies can be replayed on the identical random draws
 for paired comparison.
 
-With ``record_events`` set, each block's per-call events are built after
+With an ``on_events`` sink, each block's per-call events are built after
 the loop has admitted it, with numpy, from the block's columns and its
-blocked rows, and handed out as one batch of three columns per block: to a
-caller's ``on_events`` sink as the run goes or, without one, into
-``SimMetrics.events``. A sink keeps the memory a run holds independent of
-its length.
+blocked rows, and handed to the sink as one batch of three columns per
+block as the run goes, so the memory a run holds does not depend on its
+length.
+
+``SimScenario``'s fields are the ``[simulation]`` keys of a config, and
+``[traffic] rates``: each field's default, check and rule live there once,
+and ``config.ExperimentSpec`` declares its keys from them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from bisect import bisect_left
 from itertools import count, islice
 from operator import attrgetter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .traffic import ArrivalWindow
 
 POLICY_DYNAMIC = "dynamic"
 POLICY_SHARING = "sharing"
+POLICIES = (POLICY_DYNAMIC, POLICY_SHARING)
 
 # draws per generator call; it does not change the values drawn. A chunk's
 # arrays are 2 KiB, above the 1 KiB below which numpy keeps freed blocks in
@@ -56,46 +60,59 @@ _BLOCK = 1024
 _EVENT_KINDS = (("arrival", "accept"), ("arrival", "block"), ("departure", "release"))
 
 
+def finite_non_negative(values) -> bool:
+    """Every entry finite and >= 0, and a finite sum."""
+    return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
+
+
+def _checked(default=MISSING, *, check, rule):
+    """A run parameter with its default and the ``check`` its value must
+    pass; ``rule`` says what the check asks for."""
+    return field(default=default, metadata={"check": check, "rule": rule})
+
+
+_AT_LEAST_1 = dict(check=lambda v: v >= 1, rule="must be >= 1")
+
+
 @dataclass(frozen=True)
 class SimScenario:
     config: SystemConfig
-    rates: tuple[float, ...]         # per-class arrival rates, class 1 first
-    arrivals: int = 1_000_000        # total arrivals simulated (all classes)
-    seed: int = 0
-    policy: str = POLICY_DYNAMIC
-    warmup: float = 0.1              # fraction of arrivals excluded from metrics
+    # per-class arrival rates, class 1 first
+    rates: tuple[float, ...] = _checked(
+        check=finite_non_negative, rule="entries must be finite and >= 0 with a finite sum")
+    # total arrivals simulated (all classes)
+    arrivals: int = _checked(1_000_000, **_AT_LEAST_1)
+    seed: int = _checked(0, check=lambda v: v >= 0, rule="must be >= 0")
+    policy: str = _checked(POLICY_DYNAMIC, check=lambda v: v in POLICIES,
+                           rule=f"must be {' or '.join(POLICIES)}")
+    # fraction of arrivals excluded from metrics
+    warmup: float = _checked(0.1, check=lambda v: 0 <= v < 1, rule="must be in [0, 1)")
     bypass_estimator: bool = False   # use true rates instead of window estimates
-    trace_stride: int = 1000         # record traces every this many arrivals
-    record_events: bool = False
+    # record traces every this many arrivals
+    trace_stride: int = _checked(1000, **_AT_LEAST_1)
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
         if not rates:
             raise ValueError("at least one traffic class is required")
-        if not all(math.isfinite(r) and r >= 0 for r in rates) or not math.isfinite(sum(rates)):
-            raise ValueError(f"rates must be finite and >= 0 with a finite sum, got {rates}")
-        if self.arrivals < 1:
-            raise ValueError(f"arrivals must be >= 1, got {self.arrivals}")
-        if not 0 <= self.warmup < 1:
-            raise ValueError(f"warmup must be in [0, 1), got {self.warmup}")
-        if self.policy not in (POLICY_DYNAMIC, POLICY_SHARING):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
+        for f in fields(self):
+            check, value = f.metadata.get("check"), getattr(self, f.name)
+            if check is not None and not check(value):
+                raise ValueError(f"{f.name}: {f.metadata['rule']}, got {value!r}")
 
 
 @dataclass
 class SimMetrics:
     per_class_arrivals: tuple[int, ...]
     per_class_blocks: tuple[int, ...]
-    per_class_admissions: tuple[int, ...]
     empirical_blocking: tuple[float, ...]
     utilization: float
     duration: float                                  # measured interval, seconds
     partition_trace: list = field(default_factory=list)   # (time, y_1..y_M)
     estimator_trace: list = field(default_factory=list)   # (time, est_1..est_M)
-    events: list | None = None                       # (time, kind, class, decision, occupied)
+    # always None, kept because perfbench/probe.py reads it; events go to a sink
+    events: list | None = None
 
 
 class _ClassStream:
@@ -369,25 +386,22 @@ def run_simulation(
 
     The loop (``_admit``) only admits and notes the blocked rows. After
     each block, a class's measured arrivals are counted from the class
-    column and its blocks from the blocked rows; its admissions are the
-    difference. The first ``int(warmup * arrivals)`` arrivals are not
-    measured: the block that holds the first measured arrival is split
-    after it, where the area restarts at 0.0 and the measured interval
-    starts at its time. The area then sums the same terms in the same
-    order as a loop that starts adding there. Without a warm-up, the
-    measured interval starts at 0.0.
+    column and its blocks from the blocked rows. The first
+    ``int(warmup * arrivals)`` arrivals are not measured: the block that
+    holds the first measured arrival is split after it, where the area
+    restarts at 0.0 and the measured interval starts at its time. The
+    area then sums the same terms in the same order as a loop that starts
+    adding there. Without a warm-up, the measured interval starts at 0.0.
 
-    When ``scenario.record_events`` is set, each block's events are built
-    after the loop has admitted it (``_block_events``) and passed to
-    ``on_events`` as one batch of three numpy columns: the event times
-    (float), the event codes and the occupancy after each event (int);
-    ``event_fields`` gives the fields of each code. A block's batch holds
-    its arrivals and the departures logged before each of them; the calls
-    still pending when the run ends log nothing. The batches concatenate to
-    the run's whole event log in order. With a sink, ``SimMetrics.events``
-    is None and the run keeps no batch it has passed on. Without one, each
-    batch is expanded into ``SimMetrics.events`` as (time, kind, class,
-    decision, occupied) tuples.
+    When ``on_events`` is given, each block's events are built after the
+    loop has admitted it (``_block_events``) and passed to ``on_events`` as
+    one batch of three numpy columns: the event times (float), the event
+    codes and the occupancy after each event (int); ``event_fields`` gives
+    the fields of each code. A block's batch holds its arrivals and the
+    departures logged before each of them; the calls still pending when the
+    run ends log nothing. The batches concatenate to the run's whole event
+    log in order, and the run keeps no batch it has passed on. Without a
+    sink no event is built.
     """
     n = scenario.config.n_channels
     m_count = len(scenario.rates)
@@ -395,15 +409,6 @@ def run_simulation(
     estimator_trace: list = []
     feed = _arrival_batches(scenario, partition_trace, estimator_trace)
 
-    logged = scenario.record_events
-    held: list | None = None
-    if logged and on_events is None:
-        held = []
-        fields = event_fields(m_count)
-
-        def on_events(time, code, occupied):
-            held.extend((t, *fields[c], o) for t, c, o in
-                        zip(time.tolist(), code.tolist(), occupied.tolist()))
     pending = (np.empty(0), np.empty(0, dtype=np.intp))
     departures = [math.inf]
 
@@ -436,7 +441,7 @@ def run_simulation(
             # blocks in its cache, which raises the memory a run holds
             for row in blocked[bisect_left(blocked, start):]:
                 block_counts[classes[row]] += 1
-        if logged:
+        if on_events is not None:
             batch, pending = _block_events(times, cls, departs, blocked, pending, before)
             on_events(*batch)
             del batch
@@ -451,18 +456,17 @@ def run_simulation(
     return SimMetrics(
         per_class_arrivals=tuple(arrived),
         per_class_blocks=tuple(blocks),
-        per_class_admissions=tuple(a - b for a, b in zip(arrived, blocks)),
         empirical_blocking=blocking,
         utilization=utilization,
         duration=duration,
         partition_trace=partition_trace,
         estimator_trace=estimator_trace,
-        events=held,
     )
 
 
 def compare_policies(scenario: SimScenario) -> tuple[SimMetrics, SimMetrics]:
-    """Run dynamic reservation and complete sharing on identical random draws."""
+    """Run dynamic reservation and complete sharing on identical random
+    draws; the two runs' metrics, in the order of ``POLICIES``."""
     dyn = run_simulation(replace(scenario, policy=POLICY_DYNAMIC))
     share = run_simulation(replace(scenario, policy=POLICY_SHARING))
     return dyn, share

@@ -11,9 +11,10 @@ CSV writer formats every row through ``csv.writer``, field by field.
 The reference simulator is the plain event loop: one heap of every event,
 one draw per scheduled arrival, the window estimator one arrival at a time
 (``ArrivalWindowReference``, the running sum updated gap by gap) and a full
-``compute_partition`` on every arrival. The point solver is the analyzer as
-it ran before it took a grid: one point at a time, the Erlang-B recurrence a
-Python loop over floats. ``manifest_to_ini`` turns a manifest back into
+``compute_partition`` on every arrival; ``EventLog`` expands a run's
+event batches into the reference loop's event tuples. The point solver is
+the analyzer as it ran before it took a grid: one point at a time, the
+Erlang-B recurrence a Python loop over floats. ``manifest_to_ini`` turns a manifest back into
 the config text it records, line by line.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from qosguard.allocator import _FLOOR_SNAP, compute_partition
 from qosguard.markov import blocking_probabilities
-from qosguard.simulate import POLICY_DYNAMIC, SimMetrics
+from qosguard.simulate import POLICY_DYNAMIC, SimMetrics, event_fields, run_simulation
 
 
 class TranscriptionDiscrepancy(Exception):
@@ -238,8 +239,32 @@ def manifest_to_ini(manifest: str) -> str:
     return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
-def run_simulation_reference(scenario) -> SimMetrics:
-    """``simulate.run_simulation`` as a plain event loop, holding every event.
+class EventLog:
+    """A ``run_simulation`` sink that expands each batch of a run of
+    ``m_count`` classes into (time, kind, class, decision, occupied) events,
+    held in ``events``."""
+
+    def __init__(self, m_count: int):
+        self.fields = event_fields(m_count)
+        self.events: list = []
+
+    def __call__(self, time, code, occupied):
+        self.events.extend((t, *self.fields[c], o)
+                           for t, c, o in zip(time.tolist(), code.tolist(), occupied.tolist()))
+
+
+def run_logged(scenario) -> SimMetrics:
+    """``run_simulation`` with an ``EventLog`` sink, its events put in
+    ``SimMetrics.events``."""
+    log = EventLog(len(scenario.rates))
+    metrics = run_simulation(scenario, on_events=log)
+    metrics.events = log.events
+    return metrics
+
+
+def run_simulation_reference(scenario, record_events: bool = False) -> SimMetrics:
+    """``simulate.run_simulation`` as a plain event loop, holding every event
+    in ``SimMetrics.events`` if ``record_events`` is set.
 
     One heap holds arrivals and departures as (time, kind_rank, class, seq):
     at equal times a departure (rank 0) frees its channel before an arrival
@@ -282,12 +307,11 @@ def run_simulation_reference(scenario) -> SimMetrics:
     arrivals_seen = occupied = 0
     arr_counts = [0] * m_count
     block_counts = [0] * m_count
-    admit_counts = [0] * m_count
     in_measurement = warmup_count == 0
     measure_start = area = last_t = 0.0
     partition_trace: list = []
     estimator_trace: list = []
-    events: list | None = [] if scenario.record_events else None
+    events: list | None = [] if record_events else None
 
     while heap and arrivals_seen < scenario.arrivals:
         t, kind, cls, _ = heapq.heappop(heap)
@@ -327,9 +351,7 @@ def run_simulation_reference(scenario) -> SimMetrics:
                 in_measurement = True
                 measure_start = t
             arr_counts[m] += 1
-            if accepted:
-                admit_counts[m] += 1
-            else:
+            if not accepted:
                 block_counts[m] += 1
 
         if arrivals_seen % scenario.trace_stride == 0:
@@ -343,7 +365,6 @@ def run_simulation_reference(scenario) -> SimMetrics:
     return SimMetrics(
         per_class_arrivals=tuple(arr_counts),
         per_class_blocks=tuple(block_counts),
-        per_class_admissions=tuple(admit_counts),
         empirical_blocking=tuple(
             b / a if a else 0.0 for a, b in zip(arr_counts, block_counts)
         ),

@@ -1,6 +1,6 @@
 """The streamed event log: `simulate` writes `events.csv` batch by batch
 while each replication runs. These tests check the batches against the event
-log a run holds without a sink, the file against a plain `csv.writer`
+log of the plain reference loop, the file against a plain `csv.writer`
 reference, the memory a run holds against its length, and the failure path.
 """
 
@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import write_events_reference
+from oracles import EventLog, run_logged, run_simulation_reference, write_events_reference
 from qosguard import cli, simulate
 from qosguard.cli import main
 from qosguard.config import parse_config
@@ -53,14 +53,9 @@ def write_config(tmp_path, rates="10, 8", arrivals=5000, replications=1, policy=
 
 
 def held_events(cfg):
-    """Each replication's whole event log, held in memory without a sink."""
+    """Each replication's whole event log, collected by an ``EventLog`` sink."""
     spec = parse_config(cfg.read_text())
-    return [
-        run_simulation(
-            cli._scenario(spec, spec.rates, spec.seed + rep, True)
-        ).events
-        for rep in range(spec.replications)
-    ]
+    return [run_logged(scenario).events for scenario in cli._replications(spec, spec.rates)]
 
 
 # (arrivals per block, rows per ``%`` operation): the defaults, and blocks of
@@ -79,25 +74,22 @@ def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block,
     assert (out / "events.csv").read_bytes() == reference.read_bytes()
 
 
-def expand(fields, time, code, occupied):
-    """A batch's columns as (time, kind, class, decision, occupied) events,
-    with ``fields`` the (kind, class, decision) of each event code."""
-    return [(t, *fields[c], o)
-            for t, c, o in zip(time.tolist(), code.tolist(), occupied.tolist())]
-
-
 @pytest.mark.parametrize("arrivals", [700, 9001])
 @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
 def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
     spec = parse_config(write_config(tmp_path, arrivals=arrivals, policy=policy).read_text())
-    scenario = cli._scenario(spec, spec.rates, spec.seed, True)
-    fields = simulate.event_fields(len(scenario.rates))
-    batches = []
-    streamed = run_simulation(
-        scenario, on_events=lambda *batch: batches.append(expand(fields, *batch)))
-    held = run_simulation(scenario)
+    (scenario,) = cli._replications(spec, spec.rates)
+    log, batches = EventLog(len(scenario.rates)), []
+
+    def sink(*batch):
+        start = len(log.events)
+        log(*batch)
+        batches.append(log.events[start:])
+
+    streamed = run_simulation(scenario, on_events=sink)
+    held = run_simulation_reference(scenario, record_events=True)
     assert streamed.events is None
-    assert [ev for batch in batches for ev in batch] == held.events
+    assert log.events == held.events
     # one batch per block of arrivals
     arrivals_per_batch = [sum(ev[1] == "arrival" for ev in batch) for batch in batches]
     assert all(k == simulate._BLOCK for k in arrivals_per_batch[:-1])
@@ -105,15 +97,6 @@ def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
     assert sum(arrivals_per_batch) == arrivals
     assert streamed.per_class_blocks == held.per_class_blocks
     assert streamed.partition_trace == held.partition_trace
-
-
-def test_no_sink_calls_without_record_events(tmp_path):
-    spec = parse_config(write_config(tmp_path).read_text())
-    scenario = cli._scenario(spec, spec.rates, spec.seed, False)
-    calls = []
-    metrics = run_simulation(scenario, on_events=calls.append)
-    assert calls == []
-    assert metrics.events is None
 
 
 def peak_traced_bytes(tmp_path, arrivals) -> int:

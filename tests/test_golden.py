@@ -22,8 +22,10 @@ import pytest
 from oracles import manifest_to_ini
 
 from qosguard import cli, simulate
+from qosguard.allocator import SystemConfig
 from qosguard.cli import main
 from qosguard.config import parse_config, render_manifest
+from qosguard.simulate import SimScenario
 
 DYNAMIC_INI = """
 [system]
@@ -271,16 +273,22 @@ def test_vlc_link_csv_digests(tmp_path, name):
 
 def test_holding_draws_chunk_size_does_not_change_draws(monkeypatch):
     # a class's holding times come in chunks with its arrival gaps; at any
-    # chunk size they are the generator's one-at-a-time draws
-    arrival_seed, _, hold_seed = np.random.SeedSequence(123).spawn(3)
+    # chunk size each departure time is the arrival time plus the
+    # generator's one-at-a-time draw, the same float add
+    scenario = SimScenario(config=SystemConfig(5, 1, 0.4, 10), rates=(1.0,),
+                           arrivals=20_000, seed=123, policy="sharing")
+    _, hold_seed = np.random.SeedSequence(scenario.seed).spawn(2)
     one_at_a_time = np.random.default_rng(hold_seed)
-    expected = [float(one_at_a_time.exponential(2.5)) for _ in range(20_000)]
+    holds = [float(one_at_a_time.exponential(1.0 / scenario.config.mu))
+             for _ in range(scenario.arrivals)]
     for chunk in (512, 8192):
         monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
-        stream = simulate._ClassStream(0, 1.0, arrival_seed, hold_seed, 2.5, None)
-        while len(stream.holds) < 20_000:
-            stream.refill()
-        assert stream.holds[:20_000].tolist() == expected
+        times, departs = [], []
+        for t, _, d, _ in simulate._arrival_batches(scenario, [], []):
+            times += t.tolist()
+            departs += d.tolist()
+        assert len(departs) == scenario.arrivals
+        assert departs == [t + hold for t, hold in zip(times, holds)]
 
 
 @pytest.mark.parametrize("mode,name", sorted(MANIFEST_DIGESTS))

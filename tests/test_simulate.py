@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import run_simulation_reference
+from oracles import run_logged, run_simulation_reference
 from qosguard import simulate
 from qosguard.allocator import SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
@@ -62,15 +62,15 @@ class TestRunSimulation:
         assert metrics.utilization == 0.0
 
     def test_determinism(self):
-        sc = small_scenario(arrivals=50_000, bypass_estimator=False, record_events=True)
-        a = run_simulation(sc)
-        b = run_simulation(sc)
+        sc = small_scenario(arrivals=50_000, bypass_estimator=False)
+        a = run_logged(sc)
+        b = run_logged(sc)
         assert a.events == b.events
         assert a.empirical_blocking == b.empirical_blocking
         assert a.utilization == b.utilization
 
     def test_event_log_consistency(self):
-        metrics = run_simulation(small_scenario(arrivals=20_000, record_events=True))
+        metrics = run_logged(small_scenario(arrivals=20_000))
         occupied = 0
         admissions = 0
         departures = 0
@@ -86,15 +86,8 @@ class TestRunSimulation:
             assert 0 <= occupied <= SMALL_CFG.n_channels
         assert departures <= admissions
 
-    def test_arrivals_split_blocks_plus_admissions(self):
-        metrics = run_simulation(small_scenario(arrivals=30_000))
-        for m in range(2):
-            assert metrics.per_class_arrivals[m] == (
-                metrics.per_class_blocks[m] + metrics.per_class_admissions[m]
-            )
-
     def test_class1_blocked_only_at_full_occupancy(self):
-        metrics = run_simulation(small_scenario(arrivals=50_000, record_events=True))
+        metrics = run_logged(small_scenario(arrivals=50_000))
         occupied = 0
         for t, kind, cls, decision, occ_after in metrics.events:
             if kind == "arrival" and cls == 1 and decision == "block":
@@ -134,9 +127,8 @@ class TestDynamicFastPath:
         ids=["3:4:2:1", "0.7:0.3-gamma10", "rate-0-class"],
     )
     def test_every_arrival_matches_compute_partition(self, config, rates):
-        metrics = run_simulation(
-            SimScenario(config=config, rates=tuple(rates),
-                        arrivals=20_000, seed=2, trace_stride=1, record_events=True)
+        metrics = run_logged(
+            SimScenario(config=config, rates=tuple(rates), arrivals=20_000, seed=2, trace_stride=1)
         )
         arrivals = [ev for ev in metrics.events if ev[1] == "arrival"]
         assert len(metrics.partition_trace) == len(metrics.estimator_trace) == len(arrivals)
@@ -259,14 +251,13 @@ def scenarios(draw):
         warmup=draw(st.sampled_from([0.0, 0.1, 0.5])),
         bypass_estimator=draw(st.booleans()),
         trace_stride=draw(st.integers(min_value=1, max_value=60)),
-        record_events=draw(st.booleans()),
     )
 
 
 class TestMatchesReferenceLoop:
     # the loop's merged arrival chunks, departures-only heap and cached floor
     # rule must give exactly what the plain one-heap loop gives: every count,
-    # float, trace row and event
+    # float, trace row and event; with a sink or without one
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     # blocks of 1 and 7 rows carry pending departures across many block
@@ -274,23 +265,25 @@ class TestMatchesReferenceLoop:
     # Floored draws are often 0.0, so a call can depart at its own arrival
     # time; they also repeat arrival times, which only the sharing policy,
     # without the window estimator, accepts
-    @given(scenario=scenarios(), draws=st.sampled_from([None, _QuantisedRng, _FlooredRng]),
+    @given(scenario=scenarios(), logged=st.booleans(),
+           draws=st.sampled_from([None, _QuantisedRng, _FlooredRng]),
            block=st.sampled_from([1, 7, 64, 1024]))
     # class 3's second chunk of draws starts with a 0.0 gap, so its 257th
     # arrival is at the time of its 256th, the last it drew before, and
     # goes before class 4's arrival at that time, the run's 503rd
     @example(scenario=SimScenario(config=SystemConfig(1, 0, 1.0, 1),
                                   rates=(0.0, 0.0, 3.5, 3.0), arrivals=503, seed=0),
-             draws=_FlooredRng, block=1024)
-    def test_same_metrics_as_reference(self, monkeypatch, scenario, draws, block):
+             logged=False, draws=_FlooredRng, block=1024)
+    def test_same_metrics_as_reference(self, monkeypatch, scenario, logged, draws, block):
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_BLOCK", block)
             if draws is not None:
                 _wrap_draws(patch, draws)
             if draws is _FlooredRng:
                 scenario = replace(scenario, policy="sharing")
-            assert asdict(run_simulation(scenario)) == asdict(
-                run_simulation_reference(scenario))
+            metrics = (run_logged if logged else run_simulation)(scenario)
+            assert asdict(metrics) == asdict(
+                run_simulation_reference(scenario, record_events=logged))
 
     def test_quantised_draws_tie(self, monkeypatch):
         # the grid makes departures coincide with arrivals, the case where
@@ -298,20 +291,19 @@ class TestMatchesReferenceLoop:
         _quantise_draws(monkeypatch)
         scenario = SimScenario(config=SystemConfig(4, 1, 1.0, 10),
                                rates=(2.0, 1.0),
-                               arrivals=2000, seed=3, record_events=True)
-        metrics = run_simulation(scenario)
+                               arrivals=2000, seed=3)
+        metrics = run_logged(scenario)
         departures = {ev[0] for ev in metrics.events if ev[1] == "departure"}
         tied = [ev for ev in metrics.events if ev[1] == "arrival" and ev[0] in departures]
         assert len(tied) > 100
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=True))
 
     def test_quantised_draws_reach_every_draw(self, monkeypatch):
         # every arrival gap and holding time comes from a patched generator:
         # each event time is then a sum of quarters
         _quantise_draws(monkeypatch)
-        metrics = run_simulation(SimScenario(config=SystemConfig(4, 1, 1.0, 10),
-                                             rates=(2.0, 0.0, 1.0),
-                                             arrivals=3000, seed=5, record_events=True))
+        metrics = run_logged(SimScenario(config=SystemConfig(4, 1, 1.0, 10),
+                                         rates=(2.0, 0.0, 1.0), arrivals=3000, seed=5))
         assert any(ev[1] == "departure" for ev in metrics.events)
         assert all((ev[0] * 4).is_integer() for ev in metrics.events)
 
@@ -321,8 +313,7 @@ class TestMatchesReferenceLoop:
         scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30),
                                rates=(9.0, 12.0, 0.0, 3.0),
                                arrivals=5000, seed=9, policy=policy,
-                               bypass_estimator=bypass, trace_stride=7,
-                               record_events=True)
+                               bypass_estimator=bypass, trace_stride=7)
         runs = []
         # (draw chunk, block): draw chunks under blocks of 1024 rows, then
         # blocks of one row, smaller than a chunk and not a multiple of one
@@ -330,7 +321,7 @@ class TestMatchesReferenceLoop:
                              (256, 1), (256, 100), (7, 700), (256, 700)]:
             monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
             monkeypatch.setattr(simulate, "_BLOCK", block)
-            runs.append(asdict(run_simulation(scenario)))
+            runs.append(asdict(run_logged(scenario)))
         for run in runs[1:]:
             assert run == runs[0]
 
@@ -343,18 +334,17 @@ class TestMatchesReferenceLoop:
         simulate._BLOCK - 1, simulate._BLOCK, simulate._BLOCK + 1, 2 * simulate._BLOCK - 1,
     }))
     @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_warmup_boundaries_match_reference(self, warmup_count, policy, record_events):
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_warmup_boundaries_match_reference(self, warmup_count, policy, logged):
         arrivals = 2 * simulate._BLOCK
         scenario = SimScenario(config=SystemConfig(12, 3, 1.0, 20), rates=(6.0, 4.0, 3.0),
                                arrivals=arrivals, seed=21, policy=policy,
-                               warmup=warmup_count / arrivals, trace_stride=5,
-                               record_events=record_events)
-        metrics = run_simulation(scenario)
+                               warmup=warmup_count / arrivals, trace_stride=5)
+        metrics = (run_logged if logged else run_simulation)(scenario)
         assert sum(metrics.per_class_arrivals) == arrivals - warmup_count
         # blocked rows fall on both sides of the split, except with one measured
         assert sum(metrics.per_class_blocks) > 0 or warmup_count == arrivals - 1
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=logged))
 
     @pytest.mark.parametrize("block", [64, simulate._BLOCK])
     @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
@@ -366,11 +356,11 @@ class TestMatchesReferenceLoop:
         _wrap_draws(monkeypatch, _MeanRng)
         monkeypatch.setattr(simulate, "_BLOCK", block)
         scenario = SimScenario(config=SystemConfig(4, 1, 0.25, 10), rates=(1.0, 1.0 / block),
-                               arrivals=2 * block + 5, policy=policy, record_events=True)
-        metrics = run_simulation(scenario)
+                               arrivals=2 * block + 5, policy=policy)
+        metrics = run_logged(scenario)
         arrivals = [ev[:3] for ev in metrics.events if ev[1] == "arrival"]
         assert arrivals[block - 1:block + 1] == [(block, "arrival", 1), (block, "arrival", 2)]
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=True))
 
     @pytest.mark.parametrize("block", [7, 64, simulate._BLOCK])
     def test_zero_holding_time_across_a_block_boundary(self, monkeypatch, block):
@@ -383,34 +373,33 @@ class TestMatchesReferenceLoop:
         monkeypatch.setattr(simulate, "_BLOCK", block)
         scenario = SimScenario(config=SystemConfig(4, 1, _ZeroHoldRng.MU, 10),
                                rates=(1.0, 1.0 / block), arrivals=2 * block + 5,
-                               policy="sharing", record_events=True)
-        metrics = run_simulation(scenario)
+                               policy="sharing")
+        metrics = run_logged(scenario)
         at = [ev for ev in metrics.events if ev[0] == block]
         assert at == [(block, "arrival", 1, "accept", 1), (block, "departure", 1, "release", 0),
                       (block, "arrival", 2, "accept", 1), (block, "departure", 2, "release", 0)]
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=True))
 
     @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
     def test_tiny_rate_matches_reference(self, policy):
         # class 1's drawn-ahead arrival times overflow to inf after a few
         # arrivals near 1e308, none of which the run reaches
         scenario = SimScenario(config=SystemConfig(20, 4, 1.0, 30), rates=(1e-307, 1.0),
-                               arrivals=3000, seed=5, policy=policy, record_events=True)
-        metrics = run_simulation(scenario)
+                               arrivals=3000, seed=5, policy=policy)
+        metrics = run_logged(scenario)
         assert metrics.per_class_arrivals[0] == 0
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=True))
 
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_zero_holding_times_match_reference(self, monkeypatch, record_events):
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_zero_holding_times_match_reference(self, monkeypatch, logged):
         # draws floored to a 1/4 grid are often 0.0: a call then departs at
         # its own arrival time, before the next arrival is tested
         _wrap_draws(monkeypatch, _FlooredRng)
         scenario = SimScenario(config=SystemConfig(4, 1, 1.0, 10), rates=(2.0, 1.0),
-                               arrivals=3000, seed=4, policy="sharing",
-                               record_events=record_events)
-        metrics = run_simulation(scenario)
-        assert asdict(metrics) == asdict(run_simulation_reference(scenario))
-        if record_events:
+                               arrivals=3000, seed=4, policy="sharing")
+        metrics = (run_logged if logged else run_simulation)(scenario)
+        assert asdict(metrics) == asdict(run_simulation_reference(scenario, record_events=logged))
+        if logged:
             # a departure logged after an accepted arrival at the same time
             # can only be a call that arrived then with a 0.0 holding time
             events = metrics.events
@@ -462,10 +451,8 @@ class TestComparePolicies:
     def test_no_guard_identical_decisions(self):
         cfg = SystemConfig(5, 0, 1.0, 50)
         rates = (2.0, 2.0)
-        sc = SimScenario(
-            config=cfg, rates=rates, arrivals=30_000, seed=3, record_events=True
-        )
-        dyn, share = compare_policies(sc)
+        sc = SimScenario(config=cfg, rates=rates, arrivals=30_000, seed=3)
+        dyn, share = (run_logged(replace(sc, policy=p)) for p in ("dynamic", "sharing"))
         assert dyn.events == share.events
 
     def test_heavy_load_shifts_blocking_to_low_priority(self):
@@ -497,6 +484,10 @@ class TestScenarioValidation:
     def test_bad_arrivals(self):
         with pytest.raises(ValueError):
             small_scenario(arrivals=0)
+
+    def test_bad_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            small_scenario(seed=-1)
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
                                        (1e308, 1e308)],
