@@ -13,6 +13,10 @@ arrival, the CLI's analytic sweep on one row per sweep point, and
 ``compute_partition`` evaluates the same code on floats. An
 all-zero rate vector has no proportional split: ``compute_partition`` gives
 it the equal one.
+
+Every parameter type of the package declares each check on its field with
+``checked``; ``field_errors`` runs them, and a failure is a ``FieldError``
+that names the field, so the config can report it under its key.
 """
 
 from __future__ import annotations
@@ -20,31 +24,62 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral
 
 # Snap applied before floor(): suffix sums that are integers in exact
 # arithmetic may land a few ulps low in floats (e.g. 0.7/1.0*10).
 _FLOOR_SNAP = 1e-9
 
 
+class FieldError(ValueError):
+    """A field's value fails its check: ``name`` the field, ``rule`` what
+    the check asks for and ``value`` the value; reads ``name: rule, got value``."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name}: {rule}, got {value!r}")
+        self.name, self.rule, self.value = name, rule, value
+
+
+def checked(default=MISSING, *, check=None, rule="", **metadata):
+    """A dataclass field with its default, the ``check`` its value must pass
+    and the ``rule`` that says what the check asks for; ``metadata`` is kept
+    with them."""
+    return field(default=default, metadata={"check": check, "rule": rule, **metadata})
+
+
+def integer_at_least(k: int) -> dict:
+    """The check and rule of an integer field (numpy's included) >= ``k``."""
+    return dict(check=lambda v: isinstance(v, Integral) and v >= k,
+                rule=f"must be an integer >= {k}")
+
+
+def field_errors(obj) -> list[FieldError]:
+    """A ``FieldError`` for each field of dataclass ``obj`` that fails its
+    check, in field order. A field whose default is None may be None."""
+    errors = []
+    for f in fields(obj):
+        check, value = f.metadata.get("check"), getattr(obj, f.name)
+        absent = value is None and f.default is None
+        if check is not None and not absent and not check(value):
+            errors.append(FieldError(f.name, f.metadata["rule"], value))
+    return errors
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    n_channels: int          # N
-    guard: int               # Gamma
-    mu: float                # per-call service rate, 1/holding-time
-    window_n: int            # estimator window size in gaps
+    n_channels: int = checked(**integer_at_least(1))     # N
+    guard: int = checked(**integer_at_least(0))          # Gamma
+    # per-call service rate, 1/holding-time
+    mu: float = checked(check=lambda v: math.isfinite(v) and v > 0,
+                        rule="must be finite and > 0")
+    window_n: int = checked(**integer_at_least(1))       # estimator window size in gaps
 
     def __post_init__(self):
-        if self.n_channels < 1:
-            raise ValueError(f"n_channels must be >= 1, got {self.n_channels}")
-        if not 0 <= self.guard <= self.n_channels:
-            raise ValueError(
-                f"guard must satisfy 0 <= guard <= n_channels, got {self.guard}"
-            )
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if self.window_n < 1:
-            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
+        if errors := field_errors(self):
+            raise errors[0]
+        if self.guard > self.n_channels:
+            raise FieldError("guard", "must satisfy 0 <= guard <= channels", self.guard)
         if self.guard > self.n_channels / 2:
             warnings.warn(
                 f"guard pool {self.guard} exceeds half the channel pool "

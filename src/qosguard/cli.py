@@ -300,18 +300,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"qosguard: cannot read config: {exc}", file=sys.stderr)
         return 2
+    overrides = {name: getattr(args, name) for name in ("seed", "arrivals", "policy")
+                 if getattr(args, name) is not None}
     try:
-        spec = parse_config(text)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.arrivals is not None:
-            spec = replace(spec, arrivals=args.arrivals)
-        if args.policy is not None:
-            spec = replace(spec, policy=args.policy)
-    except ConfigError as exc:
-        print(f"qosguard: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        spec = replace(parse_config(text), **overrides)
         run_experiment(spec, args.mode, args.out)
     except ConfigError as exc:
         print(f"qosguard: config error: {exc}", file=sys.stderr)

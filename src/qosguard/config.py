@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -16,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import SystemConfig
+from .allocator import FieldError, SystemConfig, checked, field_errors, integer_at_least
 from .markov import total_rate
 from .simulate import SimScenario, finite_non_negative
 from .vlc import OpticalLinkParams
@@ -51,13 +50,10 @@ _PARSERS = {bool: _bool, str: str.strip}
 
 def _key(section, default=None, *, key=None, parse=None, check=None, rule=""):
     """A spec field read from, and written back to, ``[section] key``, the
-    field's name unless ``key`` is given. A value other than None must pass
-    ``check``; ``rule`` says what the check asks for."""
+    field's name unless ``key`` is given. Its value must pass ``check``, or
+    be None where ``default`` is; ``rule`` says what the check asks for."""
     parse = parse or _PARSERS.get(type(default), type(default))
-    return field(
-        default=default,
-        metadata={"section": section, "key": key, "parse": parse, "check": check, "rule": rule},
-    )
+    return checked(default, check=check, rule=rule, section=section, key=key, parse=parse)
 
 
 _RUN_FIELDS = {f.name: f for f in fields(SimScenario)}
@@ -92,7 +88,7 @@ class ExperimentSpec:
     warmup: float = _run_key("warmup")
     policy: str = _run_key("policy")
     bypass_estimator: bool = _run_key("bypass_estimator")
-    replications: int = _key("simulation", 1, check=lambda v: v >= 1, rule="must be >= 1")
+    replications: int = _key("simulation", 1, **integer_at_least(1))
     trace_stride: int = _run_key("trace_stride")
     events: bool = _key("simulation", False)
     seed: int = _run_key("seed")
@@ -100,13 +96,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # runs again on every dataclasses.replace, so CLI overrides are checked too
-        errors = []
-        for f in fields(self):
-            value, check = getattr(self, f.name), f.metadata.get("check")
-            if check is not None and value is not None and not check(value):
-                k = _KEY_OF_ATTR[f.name]
-                got = "" if isinstance(value, tuple) else f", got {value!r}"
-                errors.append(f"[{k.section}] {k.key}: {f.metadata['rule']}{got}")
+        errors = [_keyed("", error) for error in field_errors(self)]
         if self.lambda_1_grid is not None and self.lambda_total_grid is not None:
             errors.append("[sweep] lambda_1 and lambda_total are mutually exclusive")
         if errors:
@@ -143,14 +133,14 @@ KEYS = (
 )
 
 _KEY_OF_ATTR = {k.attr: k for k in KEYS}
-# the library types that check their own fields, by the spec attribute that holds one
-_LIBRARY_TYPES = {"config": SystemConfig, "vlc": OpticalLinkParams}
 
 
-def _key_name(owner: str, word: str) -> str:
-    """The config key that sets attribute ``word`` of ``owner``, or ``word``."""
-    k = _KEY_OF_ATTR.get(f"{owner}.{word}")
-    return word if k is None else k.key
+def _keyed(prefix: str, error: FieldError) -> str:
+    """``error`` reported under the config key that sets the spec attribute
+    ``prefix + error.name``; a tuple value is left out."""
+    k = _KEY_OF_ATTR[prefix + error.name]
+    got = "" if isinstance(error.value, tuple) else f", got {error.value!r}"
+    return f"[{k.section}] {k.key}: {error.rule}{got}"
 
 
 def _read(parser, k: Key, errors: list[str]):
@@ -199,17 +189,11 @@ def parse_config(text: str) -> ExperimentSpec:
     if system["mu"] is None:
         system["mu"] = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
 
-    # a library type's ValueError opens with the failing attribute's name;
-    # report it under the key that sets the attribute, with every attribute
-    # the rule names spelled as its key
-    for owner, cls in _LIBRARY_TYPES.items():
+    for owner, cls in (("config", SystemConfig), ("vlc", OpticalLinkParams)):
         try:
             values[""][owner] = cls(**values[owner])
-        except ValueError as exc:
-            name, _, rule = str(exc).partition(" ")
-            k = _KEY_OF_ATTR[f"{owner}.{name}"]
-            rule = re.sub(r"\w+", lambda w: _key_name(owner, w[0]), rule)
-            errors.append(f"[{k.section}] {k.key}: {rule}")
+        except FieldError as exc:
+            errors.append(_keyed(f"{owner}.", exc))
             values[""][owner] = None
 
     try:

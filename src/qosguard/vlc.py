@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .allocator import checked, field_errors
+
 # (band index, low nm, high nm); bands tile 380..780 with shared boundaries,
 # a boundary wavelength resolves to the lower-indexed band
 BAND_PLAN = (
@@ -25,36 +27,31 @@ BAND_PLAN = (
 NUM_BANDS = 7
 
 
+_POSITIVE = dict(check=lambda v: v > 0, rule="must be > 0")
+
+
 @dataclass(frozen=True)
 class OpticalLinkParams:
     """One line-of-sight link; the field names are the keys of the [vlc]
     config section, and the defaults are the worked 2 m link."""
 
-    half_power_angle: float = 60.0   # transmitter half-power angle, degrees
-    detector_area: float = 1e-4      # photo-detector area, m^2
-    distance: float = 2.0            # transmitter-receiver distance, m
+    # transmitter half-power angle, degrees
+    half_power_angle: float = checked(60.0, check=lambda v: 0 < v < 90,
+                                      rule="must be in (0, 90)")
+    detector_area: float = checked(1e-4, **_POSITIVE)    # photo-detector area, m^2
+    distance: float = checked(2.0, **_POSITIVE)          # transmitter-receiver distance, m
     irradiance_angle: float = 0.0    # degrees
     incidence_angle: float = 0.0     # degrees
-    fov: float = 60.0                # receiver field of view, degrees
-    filter_coeff: float = 1.0
-    refractive_index: float = 1.5
-    transmit_power: float = 1.0      # transmitted optical power
+    # receiver field of view, degrees
+    fov: float = checked(60.0, check=lambda v: 0 <= v <= 90, rule="must be in [0, 90]")
+    filter_coeff: float = checked(1.0, check=lambda v: 0 <= v <= 1, rule="must be in [0, 1]")
+    refractive_index: float = checked(1.5, check=lambda v: v >= 1, rule="must be >= 1")
+    # transmitted optical power
+    transmit_power: float = checked(1.0, check=lambda v: v >= 0, rule="must be >= 0")
 
     def __post_init__(self):
-        if not 0 < self.half_power_angle < 90:
-            raise ValueError(f"half_power_angle must be in (0, 90), got {self.half_power_angle}")
-        if self.distance <= 0:
-            raise ValueError(f"distance must be > 0, got {self.distance}")
-        if self.detector_area <= 0:
-            raise ValueError(f"detector_area must be > 0, got {self.detector_area}")
-        if not 0 <= self.fov <= 90:
-            raise ValueError(f"fov must be in [0, 90], got {self.fov}")
-        if not 0 <= self.filter_coeff <= 1:
-            raise ValueError(f"filter_coeff must be in [0, 1], got {self.filter_coeff}")
-        if self.refractive_index < 1:
-            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
-        if self.transmit_power < 0:
-            raise ValueError(f"transmit_power must be >= 0, got {self.transmit_power}")
+        if errors := field_errors(self):
+            raise errors[0]
 
 
 def lambertian_order(half_power_angle: float) -> float:

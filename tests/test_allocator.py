@@ -222,3 +222,14 @@ class TestSystemConfig:
     def test_bad_mu(self):
         with pytest.raises(ValueError):
             SystemConfig(10, 2, 0.0, 100)
+
+    @pytest.mark.parametrize("name", ["n_channels", "guard", "window_n"])
+    def test_float_for_integer_field_rejected(self, name):
+        values = dict(n_channels=10, guard=2, mu=1.0, window_n=100)
+        values[name] = float(values[name])
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            SystemConfig(**values)
+
+    def test_numpy_integers_accepted(self):
+        config = SystemConfig(np.int64(10), np.int32(2), 1.0, np.int64(100))
+        assert compute_partition(config, (1.0, 1.0)).limits == (10, 9)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from test_simulate import _ZeroGapRng
 
 from qosguard import cli
+from qosguard.allocator import SystemConfig
 from qosguard.cli import main
 from qosguard.config import KEYS, ConfigError, parse_config
+from qosguard.vlc import OpticalLinkParams
 
 ANALYZE_INI = """
 [system]
@@ -84,10 +87,20 @@ BAD_FIELDS = [
     ("vlc-link", "[vlc]\nhalf_power_angle = 95", [], "[vlc] half_power_angle"),
     ("vlc-link", "[vlc]\ndetector_area = 0", [], "[vlc] detector_area"),
     ("vlc-link", "[vlc]\ndistance = -2", [], "[vlc] distance"),
+    ("vlc-link", "[vlc]\ndistance = nan", [], "[vlc] distance"),
     ("vlc-link", "[vlc]\nfov = 91", [], "[vlc] fov"),
     ("vlc-link", "[vlc]\nfilter_coeff = 1.5", [], "[vlc] filter_coeff"),
     ("vlc-link", "[vlc]\nrefractive_index = 0.9", [], "[vlc] refractive_index"),
     ("vlc-link", "[vlc]\ntransmit_power = -1", [], "[vlc] transmit_power"),
+]
+
+_KEY = {(k.section, k.key): k for k in KEYS}
+# the BAD_FIELDS rows of one [system] or [vlc] key that sets a field of
+# SystemConfig or OpticalLinkParams: (mode, section, key, raw value)
+LIBRARY_ROWS = [
+    (mode, *found.groups()) for mode, lines, _, _ in BAD_FIELDS
+    if (found := re.fullmatch(r"\[(system|vlc)\]\n(\w+) = (\S+)", lines))
+    and _KEY[found[1], found[2]].attr is not None
 ]
 
 
@@ -253,6 +266,19 @@ class TestCliModes:
             code = exc.code
         assert code == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,section,key,raw", LIBRARY_ROWS,
+                             ids=[f"{key} = {raw}" for _, _, key, raw in LIBRARY_ROWS])
+    def test_library_field_error_line(self, tmp_path, capsys, mode, section, key, raw):
+        # the whole line: the key, the rule its field declares and the value
+        k = _KEY[section, key]
+        owner, name = k.attr.split(".")
+        owner_type = {"config": SystemConfig, "vlc": OpticalLinkParams}[owner]
+        rule = next(f for f in fields(owner_type) if f.name == name).metadata["rule"]
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[traffic]\nrates = 0.3, 0.3\n[{section}]\n{key} = {raw}\n")
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"[{section}] {key}: {rule}, got {k.parse(raw)!r}" in capsys.readouterr().err
 
     def test_compare_records_no_events(self, tmp_path, monkeypatch):
         results = []

@@ -113,19 +113,22 @@ class TestRunSimulation:
             assert all(r > 0 for r in rec[1:])
 
 
+DYNAMIC_CASES = pytest.mark.parametrize(
+    "config,rates",
+    [
+        (SystemConfig(20, 4, 1.0, 30), [9.0, 12.0, 6.0, 3.0]),   # ratio 3:4:2:1
+        (SystemConfig(20, 10, 1.0, 5), [0.7, 0.3]),
+        (SystemConfig(20, 4, 1.0, 10), [2.0, 1.5, 0.0, 1.0]),
+    ],
+    ids=["3:4:2:1", "0.7:0.3-gamma10", "rate-0-class"],
+)
+
+
 class TestDynamicFastPath:
     # with trace_stride = 1 every arrival records the guard access the loop
     # used and the estimate vector it came from; the full allocator must
     # derive the same partition from that vector
-    @pytest.mark.parametrize(
-        "config,rates",
-        [
-            (SystemConfig(20, 4, 1.0, 30), [9.0, 12.0, 6.0, 3.0]),   # ratio 3:4:2:1
-            (SystemConfig(20, 10, 1.0, 5), [0.7, 0.3]),
-            (SystemConfig(20, 4, 1.0, 10), [2.0, 1.5, 0.0, 1.0]),
-        ],
-        ids=["3:4:2:1", "0.7:0.3-gamma10", "rate-0-class"],
-    )
+    @DYNAMIC_CASES
     def test_every_arrival_matches_compute_partition(self, config, rates):
         metrics = run_logged(
             SimScenario(config=config, rates=tuple(rates), arrivals=20_000, seed=2, trace_stride=1)
@@ -143,6 +146,14 @@ class TestDynamicFastPath:
             assert (decision == "accept") == (occ_before < part.limits[cls - 1])
         # the estimates moved the partition, so the check saw real updates
         assert len({row[1:] for row in metrics.partition_trace}) > 1
+
+    # the rows before the estimator is ready take the configured rates, and
+    # the first ready row the windows' estimates, as in the reference loop
+    @DYNAMIC_CASES
+    def test_cold_start_boundary_matches_reference(self, config, rates):
+        scenario = SimScenario(config=config, rates=tuple(rates), arrivals=2_000, seed=2,
+                               trace_stride=1)
+        assert asdict(run_simulation(scenario)) == asdict(run_simulation_reference(scenario))
 
     def test_rate_zero_class_leaves_the_cold_start(self):
         # a class configured at rate 0 never gets a gap; it counts as ready
@@ -488,6 +499,13 @@ class TestScenarioValidation:
     def test_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             small_scenario(seed=-1)
+
+    # checked in the constructor, not left to fail inside the run
+    @pytest.mark.parametrize("name,value", [("arrivals", 2500.5), ("seed", 1.5),
+                                            ("trace_stride", 2.5)])
+    def test_float_for_integer_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            small_scenario(**{name: value})
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
                                        (1e308, 1e308)],
