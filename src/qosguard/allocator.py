@@ -49,9 +49,19 @@ def checked(default=MISSING, *, check=None, rule="", **metadata):
 
 
 def integer_at_least(k: int) -> dict:
-    """The check and rule of an integer field (numpy's included) >= ``k``."""
-    return dict(check=lambda v: isinstance(v, Integral) and v >= k,
+    """The check and rule of an integer field (numpy's included, ``bool``
+    not) >= ``k``."""
+    return dict(check=lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= k,
                 rule=f"must be an integer >= {k}")
+
+
+def _passes(check, value) -> bool:
+    """Whether ``value`` passes ``check``; a value of a type the check
+    cannot compare, such as a string in a float field, fails it."""
+    try:
+        return bool(check(value))
+    except (TypeError, ValueError):
+        return False
 
 
 def field_errors(obj) -> list[FieldError]:
@@ -61,7 +71,7 @@ def field_errors(obj) -> list[FieldError]:
     for f in fields(obj):
         check, value = f.metadata.get("check"), getattr(obj, f.name)
         absent = value is None and f.default is None
-        if check is not None and not absent and not check(value):
+        if check is not None and not absent and not _passes(check, value):
             errors.append(FieldError(f.name, f.metadata["rule"], value))
     return errors
 

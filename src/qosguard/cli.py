@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -71,6 +72,30 @@ def _event_sink(fh, rep: int, m_count: int):
             fh.write((row_format * rows) % tuple(fields))
 
     return write
+
+
+@contextmanager
+def _event_log(path: Path, m_count: int):
+    """Open ``path``, write the event log's header and yield the function
+    that gives replication ``rep``'s event sink for ``run_simulation``.
+    Where ``os.fork`` exists, each sink sends its batches to a writer
+    process that writes them with ``_event_sink`` while this one simulates
+    (``eventwriter.forked_sinks``); otherwise ``_event_sink`` writes them
+    here. The file holds the same bytes either way, and it is opened here,
+    so a path that cannot be written fails before any fork."""
+    with path.open("w", newline="") as fh:
+        fh.write("replication,time,kind,class,decision,occupied_after\r\n")
+
+        def sink_for(rep):
+            return _event_sink(fh, rep, m_count)
+
+        if not hasattr(os, "fork"):
+            yield sink_for
+            return
+        # imported here: a run that writes no events need not load it
+        from .eventwriter import forked_sinks
+        with forked_sinks(fh, sink_for) as send_for:
+            yield send_for
 
 
 def _partitions(config, rates):
@@ -144,14 +169,10 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
     m_count = len(rates)
     blocking_rows, util_rows, partition_rows = [], [], []
     # events go to disk batch by batch as each replication runs
-    events_file = (
-        (out / "events.csv").open("w", newline="") if spec.events else nullcontext()
-    )
-    with events_file as events_fh:
-        if events_fh is not None:
-            events_fh.write("replication,time,kind,class,decision,occupied_after\r\n")
+    events = _event_log(out / "events.csv", m_count) if spec.events else nullcontext()
+    with events as sink_for:
         for rep, scenario in enumerate(_replications(spec, rates)):
-            sink = _event_sink(events_fh, rep, m_count) if events_fh is not None else None
+            sink = sink_for(rep) if sink_for is not None else None
             metrics = run_simulation(scenario, on_events=sink)
             blocking_rows += [
                 (rep, m + 1, metrics.per_class_arrivals[m], metrics.per_class_blocks[m],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
 from qosguard import cli
-from qosguard.allocator import SystemConfig, compute_partition, floor_rule
+from qosguard.allocator import FieldError, SystemConfig, compute_partition, floor_rule
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -228,6 +228,15 @@ class TestSystemConfig:
         values = dict(n_channels=10, guard=2, mu=1.0, window_n=100)
         values[name] = float(values[name])
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            SystemConfig(**values)
+
+    # a value the check cannot compare is the field's error, not the check's
+    # own TypeError, and a bool is not an integer
+    @pytest.mark.parametrize("name, value", [("mu", "1"), ("n_channels", True)])
+    def test_wrong_type_is_field_error(self, name, value):
+        values = dict(n_channels=10, guard=2, mu=1.0, window_n=100)
+        values[name] = value
+        with pytest.raises(FieldError, match=f"^{name}: must be .*, got {value!r}$"):
             SystemConfig(**values)
 
     def test_numpy_integers_accepted(self):

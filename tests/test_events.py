@@ -1,9 +1,12 @@
 """The streamed event log: `simulate` writes `events.csv` batch by batch
-while each replication runs. These tests check the batches against the event
-log of the plain reference loop, the file against a plain `csv.writer`
-reference, the memory a run holds against its length, and the failure path.
+while each replication runs, from a forked writer process where `os.fork`
+exists. These tests check the batches against the event log of the plain
+reference loop, the file against a plain `csv.writer` reference and the
+forked writer against the in-process one, the memory a run holds against
+its length, and the failure paths, after which no process may be left.
 """
 
+import os
 import pathlib
 import tracemalloc
 from dataclasses import replace
@@ -52,16 +55,41 @@ def write_config(tmp_path, rates="10, 8", arrivals=5000, replications=1, policy=
     return cfg
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+# (arrivals per block, rows per ``%`` operation): the defaults, and blocks of
+# 7 arrivals whose batches the writer formats in several 5-row operations
+BLOCK_SIZES = pytest.mark.parametrize(
+    "block, row_block", [(simulate._BLOCK, cli._ROW_BLOCK), (7, 5)],
+    ids=[str(simulate._BLOCK), "7"])
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    yield
+    assert_no_child_process()
+
+
+def run_main(argv) -> int:
+    """``main(argv)``'s exit code, once it is checked that ``main`` left
+    no child process behind."""
+    code = main(argv)
+    assert_no_child_process()
+    return code
+
+
 def held_events(cfg):
     """Each replication's whole event log, collected by an ``EventLog`` sink."""
     spec = parse_config(cfg.read_text())
     return [run_logged(scenario).events for scenario in cli._replications(spec, spec.rates)]
 
 
-# (arrivals per block, rows per ``%`` operation): the defaults, and blocks of
-# 7 arrivals whose batches the writer formats in several 5-row operations
-@pytest.mark.parametrize("block, row_block", [(simulate._BLOCK, cli._ROW_BLOCK), (7, 5)],
-                         ids=[str(simulate._BLOCK), "7"])
+@BLOCK_SIZES
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block, row_block):
     monkeypatch.setattr(simulate, "_BLOCK", block)
@@ -72,6 +100,20 @@ def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block,
     reference = tmp_path / "reference.csv"
     write_events_reference(reference, held_events(cfg))
     assert (out / "events.csv").read_bytes() == reference.read_bytes()
+
+
+@needs_fork
+@BLOCK_SIZES
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_forked_writer_matches_in_process_writer(tmp_path, monkeypatch, name, block, row_block):
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
+    cfg = write_config(tmp_path, *CONFIGS[name])
+    forked, in_process = tmp_path / "forked", tmp_path / "in-process"
+    assert run_main(["simulate", "--config", str(cfg), "--out", str(forked)]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert run_main(["simulate", "--config", str(cfg), "--out", str(in_process)]) == 0
+    assert (forked / "events.csv").read_bytes() == (in_process / "events.csv").read_bytes()
 
 
 @pytest.mark.parametrize("arrivals", [700, 9001])
@@ -119,6 +161,13 @@ def test_memory_does_not_grow_with_run_length(tmp_path):
     assert long < 1.5 * short, (short, long)
 
 
+def test_in_process_writer_memory_does_not_grow_with_run_length(tmp_path, monkeypatch):
+    # the forked writer formats the text in a process tracemalloc does not
+    # see; without os.fork it is formatted here, under the same bound
+    monkeypatch.delattr(os, "fork", raising=False)
+    test_memory_does_not_grow_with_run_length(tmp_path)
+
+
 def test_events_path_is_a_directory_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -154,3 +203,39 @@ def test_failed_replication_closes_events_file(tmp_path, monkeypatch, capsys):
     lines = (out / "events.csv").read_text().splitlines()
     assert lines[0] == "replication,time,kind,class,decision,occupied_after"
     assert len(lines) > 50
+
+
+def writer_failure(tmp_path, capsys, arrivals) -> tuple[pathlib.Path, str]:
+    """Run a simulation of ``arrivals``, expect exit 3 with an I/O error
+    naming ``events.csv``, and return the output directory and the error
+    text."""
+    cfg = write_config(tmp_path, arrivals=arrivals)
+    out = tmp_path / "out"
+    assert run_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "qosguard: I/O error" in err
+    assert "events.csv" in err
+    return out, err
+
+
+@needs_fork
+def test_writer_error_exits_3_with_its_text(tmp_path, monkeypatch, capsys):
+    def failing_sink(fh, rep, m_count):
+        raise RuntimeError("sink failed")
+
+    # the forked writer inherits the patched sink; the run's one batch fits
+    # in the pipe, so only the writer's exit status tells of the failure
+    monkeypatch.setattr(cli, "_event_sink", failing_sink)
+    _, err = writer_failure(tmp_path, capsys, arrivals=700)
+    assert "RuntimeError: sink failed" in err
+
+
+@needs_fork
+def test_writer_gone_at_first_batch_exits_3(tmp_path, monkeypatch, capsys):
+    # the writer exits at its first batch without a word; the run's later
+    # batches, far more than the pipe holds, meet a broken pipe
+    monkeypatch.setattr(cli, "_event_sink", lambda fh, rep, m_count: os._exit(5))
+    out, err = writer_failure(tmp_path, capsys, arrivals=20_000)
+    assert "exit status 5" in err
+    assert (out / "events.csv").read_text() == (
+        "replication,time,kind,class,decision,occupied_after\n")

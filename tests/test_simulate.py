@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import run_logged, run_simulation_reference
 from qosguard import simulate
-from qosguard.allocator import SystemConfig, compute_partition
+from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
 
@@ -505,6 +505,11 @@ class TestScenarioValidation:
                                             ("trace_stride", 2.5)])
     def test_float_for_integer_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            small_scenario(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [("warmup", "0.1"), ("arrivals", True)])
+    def test_wrong_type_is_field_error(self, name, value):
+        with pytest.raises(FieldError, match=f"^{name}: must be .*, got {value!r}$"):
             small_scenario(**{name: value})
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),

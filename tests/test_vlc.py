@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qosguard.allocator import FieldError
 from qosguard.vlc import (
     BAND_PLAN,
     OpticalLinkParams,
@@ -26,6 +27,11 @@ WORKED_LINK = OpticalLinkParams(
     filter_coeff=1.0,
     refractive_index=1.5,
 )
+
+
+def test_string_for_float_field_is_field_error():
+    with pytest.raises(FieldError, match="^distance: must be > 0, got '2'$"):
+        OpticalLinkParams(distance="2")
 
 
 class TestLambertianOrder:
