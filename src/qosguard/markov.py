@@ -2,12 +2,17 @@
 
 Occupancy 0..N is a birth-death chain: the birth rate at state i is the sum
 of the rates of classes that still fit (N_m > i), the death rate is i*mu.
-The product form is evaluated as a cumulative sum in the log domain.
+The product form is evaluated as a cumulative sum in the log domain. Below
+the lowest limit lo every class fits, so birth(i) there is the total rate:
+only states lo..N (at most Gamma+1) are binned, suffix-summed and logged, the
+rest take that one log. Full-width sums only add +0.0 below lo, so every
+float is the one a full-width solve gives.
 
 The solver takes a whole grid of points at once: row p of ``limits`` and
 ``rates`` is one point's (N_1..N_M) and (rate_1..rate_M). Every step is the
-per-point arithmetic run row by row, so a point's result does not depend on
-the other rows; ``blocking_probabilities`` solves the grid in blocks of
+per-point arithmetic run row by row, and a lower limit in another row only
+makes more of a row's columns explicit, so a point's result does not depend
+on the other rows; ``blocking_probabilities`` solves the grid in blocks of
 ``_BLOCK_ROWS`` rows to bound the memory a sweep holds.
 """
 
@@ -19,9 +24,10 @@ import numpy as np
 
 from .allocator import SystemConfig
 
-# points solved together: a row of P_0..P_N is 8 KiB at N=1000, so a
-# block's temporaries stay near 64 KiB each however long the sweep is
-_BLOCK_ROWS = 8
+# points solved together. At N=1000, Gamma=100 a block's logw is 125 KiB, its
+# other temporaries at most Gamma+1 wide (12 KiB); the 1000-point sweep peaks
+# at 0.26 MiB under tracemalloc (the full-width solver at 8 rows: 0.36 MiB)
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,15 +37,48 @@ class BlockingReport:
     offered_load: np.ndarray    # P, total rate / mu, in Erlangs
 
 
-def _as_grid(limits, rates) -> tuple[np.ndarray, np.ndarray]:
+def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
+    """The checked grid, and log((k+1)*mu) for k = 0..N-1."""
     limits = np.asarray(limits, dtype=np.intp)
     rates = np.asarray(rates, dtype=float)
     if limits.ndim != 2 or limits.shape != rates.shape:
-        raise ValueError(
-            f"limits and rates must be P x M arrays of one shape, got "
-            f"{limits.shape} and {rates.shape}"
-        )
-    return limits, rates
+        raise ValueError(f"limits and rates must be P x M arrays of one shape, "
+                         f"got {limits.shape} and {rates.shape}")
+    n = config.n_channels
+    if limits.min(initial=0) < 0 or limits.max(initial=0) > n:
+        raise ValueError(f"limits must lie in 0..{n}")
+    if not (np.isfinite(rates) & (rates >= 0)).all():
+        raise ValueError("rates must be finite and >= 0")
+    return limits, rates, np.log(np.arange(1, n + 1) * config.mu)
+
+
+def _solve(limits: np.ndarray, rates: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
+    points, n = len(limits), len(log_deaths)
+    # columns lo-1..N of each row: lo >= 1, as column 0 is never a birth (a
+    # limit of 0 lands there), and lo <= N-1 keeps the log's operand 2+ long
+    lo = max(1, min(int(limits.min(initial=n)), n - 1))
+    width = n + 2 - lo
+    cells = (limits - (lo - 1) + width * np.arange(points)[:, None]).ravel()
+    at_limit = np.bincount(cells, weights=rates.ravel(), minlength=points * width)
+    # suffix sums added from the top down; column j is birth(N - 1 - j)
+    suffix = np.cumsum(at_limit.reshape(points, width)[:, :0:-1], axis=1)
+    # log row by row of the reversed view, as a one-point solve takes it: on
+    # a contiguous or 2-D operand numpy's log may take its vector path, which
+    # can round a last bit differently (seen with numpy 2.4 on AVX-512)
+    logw = np.zeros((points, n + 1))
+    steps = logw[:, 1:]     # summed in place, so a block holds one N+1 array
+    with np.errstate(divide="ignore"):
+        for birth, out in zip(suffix, steps):
+            np.log(birth[::-1], out=out[lo - 1:])
+    # a copied source: an overlapping one makes numpy buffer the assignment
+    steps[:, :lo - 1] = steps[:, lo - 1:lo].copy()
+    for row in steps:       # on the strided 2-D view numpy would copy it whole
+        row -= log_deaths
+    np.cumsum(steps, axis=1, out=steps)
+    logw -= logw.max(axis=1, keepdims=True)
+    probs = np.exp(logw, out=logw)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def steady_state(config: SystemConfig, limits, rates) -> np.ndarray:
@@ -48,34 +87,12 @@ def steady_state(config: SystemConfig, limits, rates) -> np.ndarray:
 
     log P_i = sum over k < i of log birth(k) - log((k+1)*mu), up to a
     constant. Each row is shifted by its maximum before exp, so no N or load
-    overflows, and a zero birth rate gives exact zeros above it.
+    overflows, and a zero birth rate gives exact zeros above it. States below
+    the grid's lowest limit take the log of the total rate, the float each
+    row's own full-width sums give there: that limit sets only how much is
+    computed, never a row's result.
     """
-    limits, rates = _as_grid(limits, rates)
-    points = len(limits)
-    width = config.n_channels + 1
-    # rate_m lands at column N_m of its row; birth(i) is the sum over N_m > i
-    cells = (limits + width * np.arange(points)[:, None]).ravel()
-    at_limit = np.bincount(cells, weights=rates.ravel(), minlength=points * width)
-    at_limit = at_limit.reshape(points, width)
-    # suffix sums added from the top down; column i of the view is birth(i)
-    suffix = np.cumsum(at_limit[:, :0:-1], axis=1)
-    del at_limit
-    # log row by row of the reversed view, as a one-point solve takes it: on
-    # a contiguous or 2-D operand numpy's log may take its vector path, which
-    # can round a last bit differently (seen with numpy 2.4 on AVX-512)
-    steps = np.empty(suffix.shape)
-    with np.errstate(divide="ignore"):
-        for birth, out in zip(suffix, steps):
-            np.log(birth[::-1], out=out)
-    del suffix
-    steps -= np.log(np.arange(1, width) * config.mu)
-    logw = np.zeros((points, width))
-    np.cumsum(steps, axis=1, out=logw[:, 1:])
-    del steps
-    logw -= logw.max(axis=1, keepdims=True)
-    probs = np.exp(logw, out=logw)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _solve(*_as_grid(config, limits, rates))
 
 
 def total_rate(rates) -> np.ndarray:
@@ -91,26 +108,24 @@ def blocking_probabilities(config: SystemConfig, limits, rates) -> BlockingRepor
     """Per-class blocking B_m = sum of P_i over i >= N_m, utilization and
     offered load of every point of the grid.
 
-    The grid is solved ``_BLOCK_ROWS`` rows at a time through
-    ``steady_state``; each tail is one row's sum from N_m to N.
+    The grid is solved ``_BLOCK_ROWS`` rows at a time, each block from its
+    own lowest limit up; each tail is one row's sum from N_m to N.
     """
-    limits, rates = _as_grid(limits, rates)
+    limits, rates, log_deaths = _as_grid(config, limits, rates)
     n = config.n_channels
     occupancy = np.arange(n + 1, dtype=float)
     per_class = np.empty(limits.shape)
     utilization = np.empty(len(limits))
     for start in range(0, len(limits), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        probs = steady_state(config, limits[block], rates[block])
-        tails = per_class[block]
-        # rows that share a limit take their tails in one reduction
-        for m, column in enumerate(limits[block].T):
-            for n_m in set(column.tolist()):
-                rows = column == n_m
-                tails[rows, m] = probs[rows, n_m:].sum(axis=1)
+        probs = _solve(limits[block], rates[block], log_deaths)
+        # one row-wise reduction per distinct limit serves every class at it
+        for n_m in set(limits[block].ravel().tolist()):
+            tails = probs[:, n_m:].sum(axis=1)[:, None]
+            np.copyto(per_class[block], tails, where=limits[block] == n_m)
         # one dot product per row: a matrix-vector product adds in another order
-        for row, p in enumerate(probs, start=start):
-            utilization[row] = occupancy @ p
+        utilization[block] = [occupancy @ p for p in probs]
+        del probs   # else held through the next block's solve
     utilization /= n
     return BlockingReport(
         per_class=per_class,
@@ -125,11 +140,13 @@ def erlang_b(servers: int, offered):
     if servers < 0:
         raise ValueError(f"servers must be >= 0, got {servers}")
     loads = np.asarray(offered, dtype=float)
-    if (loads < 0).any():
-        raise ValueError(f"offered load must be >= 0, got {offered}")
+    if not (np.isfinite(loads) & (loads >= 0)).all():
+        raise ValueError(f"offered load must be finite and >= 0, got {offered}")
     b = np.ones(loads.shape)
     ab = np.empty(loads.shape)
+    denominator = np.empty(loads.shape)
     for k in range(1, servers + 1):
         np.multiply(loads, b, out=ab)
-        np.divide(ab, ab + k, out=b)
+        np.add(ab, k, out=denominator)
+        np.divide(ab, denominator, out=b)
     return float(b) if b.ndim == 0 else b

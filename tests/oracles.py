@@ -14,8 +14,10 @@ one draw per scheduled arrival, the window estimator one arrival at a time
 ``compute_partition`` on every arrival; ``EventLog`` expands a run's
 event batches into the reference loop's event tuples. The point solver is
 the analyzer as it ran before it took a grid: one point at a time, the
-Erlang-B recurrence a Python loop over floats. ``manifest_to_ini`` turns a manifest back into
-the config text it records, line by line.
+Erlang-B recurrence a Python loop over floats. The full-width solver is the
+grid solver as it ran before it narrowed to the guard band: every row
+binned, suffix-summed and logged over all N+1 states. ``manifest_to_ini``
+turns a manifest back into the config text it records, line by line.
 """
 
 from __future__ import annotations
@@ -101,6 +103,51 @@ def blocking_point(config, limits, rates) -> PointReport:
         utilization=float(np.arange(n + 1) @ probs) / n,
         offered_load=total / config.mu,
     )
+
+
+def steady_state_full_width(config, limits, rates) -> np.ndarray:
+    """P_0..P_N of every row of a P x M grid, as the library's grid solver
+    took them before it narrowed to the guard band: every row's rates binned
+    at their limits over all N+1 states, suffix sums from the top, a log of
+    each row's reversed view, then cumsum, a max shift, exp and
+    normalisation."""
+    limits = np.asarray(limits, dtype=np.intp)
+    rates = np.asarray(rates, dtype=float)
+    points = len(limits)
+    width = config.n_channels + 1
+    cells = (limits + width * np.arange(points)[:, None]).ravel()
+    at_limit = np.bincount(cells, weights=rates.ravel(), minlength=points * width)
+    at_limit = at_limit.reshape(points, width)
+    suffix = np.cumsum(at_limit[:, :0:-1], axis=1)
+    steps = np.empty(suffix.shape)
+    with np.errstate(divide="ignore"):
+        for birth, out in zip(suffix, steps):
+            np.log(birth[::-1], out=out)
+    steps -= np.log(np.arange(1, width) * config.mu)
+    logw = np.zeros((points, width))
+    np.cumsum(steps, axis=1, out=logw[:, 1:])
+    logw -= logw.max(axis=1, keepdims=True)
+    probs = np.exp(logw, out=logw)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def blocking_full_width(config, limits, rates):
+    """Per-class blocking (P x M) and utilization (P) of every row from
+    ``steady_state_full_width``: each class's tails one reduction per
+    distinct limit of its column, one dot product per row."""
+    limits = np.asarray(limits, dtype=np.intp)
+    n = config.n_channels
+    probs = steady_state_full_width(config, limits, rates)
+    per_class = np.empty(limits.shape)
+    for m, column in enumerate(limits.T):
+        for n_m in set(column.tolist()):
+            rows = column == n_m
+            per_class[rows, m] = probs[rows, n_m:].sum(axis=1)
+    occupancy = np.arange(n + 1, dtype=float)
+    utilization = np.array([occupancy @ p for p in probs])
+    utilization /= n
+    return per_class, utilization
 
 
 def erlang_b_point(servers: int, offered: float) -> float:

@@ -1,20 +1,25 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qosguard import markov
 from qosguard.allocator import SystemConfig, compute_partition
 from qosguard.markov import _BLOCK_ROWS, blocking_probabilities, erlang_b, steady_state
 
 from oracles import (
+    blocking_full_width,
     blocking_point,
     closed_form_blocking,
     dense_steady_state,
     erlang_b_direct,
     erlang_b_point,
     guard_birth_rate,
+    steady_state_full_width,
 )
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 100)
@@ -150,6 +155,21 @@ class TestBlockingProbabilities:
         with pytest.raises(ValueError, match="one shape"):
             steady_state(SMALL_CFG, SMALL_PART.limits, (1.0, 1.0))
 
+    @pytest.mark.parametrize("limits", [[[6, 3], [4, 4]], [[4, 4], [4, 5]], [[-1, 4], [4, 4]]])
+    def test_limit_outside_0_to_n_rejected(self, limits):
+        # unchecked, a limit of 6 at N=4 would land in the next row's bins
+        cfg = SystemConfig(4, 1, 1.0, 10)
+        for solve in (steady_state, blocking_probabilities):
+            with pytest.raises(ValueError, match=r"limits must lie in 0\.\.4"):
+                solve(cfg, limits, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_rate_rejected(self, bad):
+        cfg = SystemConfig(4, 1, 1.0, 10)
+        for solve in (steady_state, blocking_probabilities):
+            with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+                solve(cfg, [[4, 3], [4, 4]], [[1.0, 1.0], [1.0, bad]])
+
     def test_grid_rows_match_single_points(self):
         # a lambda_1 sweep whose limits change inside a block, over several
         # blocks and a partial one: each row is solved as if on its own
@@ -234,6 +254,13 @@ class TestErlangB:
         with pytest.raises(ValueError):
             erlang_b(-1, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_load_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            erlang_b(10, bad)
+        with pytest.raises(ValueError, match="finite"):
+            erlang_b(10, np.array([1.0, bad]))
+
 
 # Values below the smallest normal float carry no relative precision.
 TINY = np.finfo(float).tiny
@@ -317,3 +344,48 @@ class TestMatchesPointSolver:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def _band_cfg(n, gamma, mu=1.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # guard > N/2 warns
+        return SystemConfig(n, gamma, mu, 100)
+
+
+@st.composite
+def guard_band_grids(draw):
+    """Any limits inside the guard band N-Gamma..N, so the rows of a block
+    differ in their lowest limit: N from 1, Gamma up to N (a limit of 0),
+    M from 1, and all-zero rows among the points."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 40, 1000]))
+    gamma = draw(st.integers(0, n))
+    m_count = draw(st.integers(1, 5))
+    cfg = _band_cfg(n, gamma, draw(st.sampled_from([1.0, 1 / 120, 3.7])))
+    rate = st.sampled_from([0.0, 0.1, 1.0, 2.5]) | st.floats(1e-3, 1e4)
+    row = st.tuples(
+        st.lists(st.integers(n - gamma, n), min_size=m_count, max_size=m_count),
+        st.lists(rate, min_size=m_count, max_size=m_count) | st.just([0.0] * m_count),
+    )
+    limits, rates = zip(*draw(st.lists(row, min_size=1, max_size=40)))
+    return cfg, limits, rates
+
+
+class TestMatchesFullWidthSolver:
+    """The guard-band solver against the full-width solver it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(guard_band_grids(), st.sampled_from([1, 3, _BLOCK_ROWS]))
+    @example((_band_cfg(1, 0), [[1]], [[2.0]]), 1)
+    @example((_band_cfg(1, 1), [[0, 1], [1, 1], [0, 0]], [[5.0, 1.0], [0.0, 0.0], [1.0, 2.0]]), 3)
+    @example((_band_cfg(6, 6), [[6, 0, 3], [5, 6, 6], [6, 6, 6]], [[1.0, 4.0, 0.5]] * 3), _BLOCK_ROWS)
+    @example((_band_cfg(50, 0), [[50, 50]] * 5, [[30.0, 12.5]] * 5), 3)
+    def test_bit_equal_to_full_width_solver(self, grid, block_rows):
+        cfg, limits, rates = grid
+        assert np.array_equal(
+            steady_state(cfg, limits, rates), steady_state_full_width(cfg, limits, rates)
+        )
+        with mock.patch.object(markov, "_BLOCK_ROWS", block_rows):
+            report = blocking_probabilities(cfg, limits, rates)
+        per_class, utilization = blocking_full_width(cfg, limits, rates)
+        assert np.array_equal(report.per_class, per_class)
+        assert np.array_equal(report.utilization, utilization)
