@@ -6,13 +6,12 @@ floor of the suffix sum of shares from its own class down to the lowest
 priority. Class 1 can always reach all N channels. A class-m call is
 admitted iff the occupancy is below its limit N_m.
 
-The floor rule y_m = floor(X_m + ... + X_M) is generated once per class
-count M and guard pool Gamma as straight-line code and cached: the
-simulator's dynamic policy evaluates it on numpy columns, one row per
-arrival, the CLI's analytic sweep on one row per sweep point, and
-``compute_partition`` evaluates the same code on floats. An
-all-zero rate vector has no proportional split: ``compute_partition`` gives
-it the equal one.
+The floor rule y_m = floor(X_m + ... + X_M) is one function for a class
+count M and guard pool Gamma: the simulator's dynamic policy evaluates it
+on numpy columns, one row per arrival, the CLI's analytic sweep on one row
+per sweep point, and ``compute_partition`` evaluates the same code on
+floats. An all-zero rate vector has no proportional split:
+``compute_partition`` gives it the equal one.
 
 Every parameter type of the package declares each check on its field with
 ``checked``; ``field_errors`` runs them, and a failure is a ``FieldError``
@@ -21,11 +20,12 @@ that names the field, so the config can report it under its key.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
 from numbers import Integral
+from operator import add
 
 # Snap applied before floor(): suffix sums that are integers in exact
 # arithmetic may land a few ulps low in floats (e.g. 0.7/1.0*10).
@@ -53,6 +53,15 @@ def integer_at_least(k: int) -> dict:
     not) >= ``k``."""
     return dict(check=lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= k,
                 rule=f"must be an integer >= {k}")
+
+
+def finite_non_negative(values) -> bool:
+    """Every entry finite and >= 0, and a finite sum."""
+    return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
+
+
+RATE_VECTOR = dict(check=finite_non_negative,
+                   rule="entries must be finite and >= 0 with a finite sum")
 
 
 def _passes(check, value) -> bool:
@@ -104,10 +113,9 @@ class ChannelPartition:
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
 
 
-@functools.lru_cache(maxsize=64)
 def floor_rule(m_count: int, gamma: int, floor=math.floor):
     """The function ``(r_1, ..., r_M) -> (y_1, ..., y_M)`` for ``m_count``
-    classes and a guard pool of ``gamma`` channels, unrolled.
+    classes and a guard pool of ``gamma`` channels.
 
     It computes total = r_1 + ... + r_M, X_m = r_m / total * gamma and
     y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to right: the
@@ -121,15 +129,13 @@ def floor_rule(m_count: int, gamma: int, floor=math.floor):
     """
     if m_count < 1:
         raise ValueError(f"need at least one class, got {m_count}")
-    r = [f"r{i}" for i in range(m_count)]
-    x = [f"x{i}" for i in range(m_count)]
-    lines = [f"def rule({', '.join(r)}):", f"    total = {' + '.join(r)}"]
-    lines += [f"    {x[i]} = {r[i]} / total * gamma" for i in range(m_count)]
-    floors = [f"floor({' + '.join(x[i:])} + {_FLOOR_SNAP!r})" for i in range(m_count)]
-    lines.append(f"    return ({', '.join(floors)},)")
-    namespace = {"floor": floor, "gamma": gamma}
-    exec("\n".join(lines), namespace)
-    return namespace["rule"]
+
+    def rule(*rates):
+        total = reduce(add, rates)
+        shares = [r / total * gamma for r in rates]
+        return tuple(floor(reduce(add, shares[m:]) + _FLOOR_SNAP) for m in range(m_count))
+
+    return rule
 
 
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
@@ -137,11 +143,8 @@ def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     must be finite and non-negative with a finite sum; an all-zero vector
     splits the guard pool equally."""
     rates = tuple(float(r) for r in rates)
-    for m, r in enumerate(rates, start=1):
-        if not math.isfinite(r) or r < 0:
-            raise ValueError(f"rate for class {m} must be finite and >= 0, got {r}")
-    if not math.isfinite(sum(rates)):
-        raise ValueError(f"rates must have a finite sum, got {rates}")
+    if not finite_non_negative(rates):
+        raise FieldError("rates", RATE_VECTOR["rule"], rates)
     if not any(rates):
         rates = (1.0,) * len(rates)
     guard_access = floor_rule(len(rates), config.guard)(*rates)

@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import FieldError, SystemConfig, checked, field_errors, integer_at_least
+from .allocator import (FieldError, SystemConfig, checked, field_errors, finite_non_negative,
+                        integer_at_least)
 from .markov import total_rate
-from .simulate import SimScenario, finite_non_negative
+from .simulate import SimScenario
 from .vlc import OpticalLinkParams
 
 # a 120 s mean holding time unless [system] gives mu or holding_time

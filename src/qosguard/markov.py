@@ -39,8 +39,9 @@ class BlockingReport:
 
 def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
     """The checked grid, and log((k+1)*mu) for k = 0..N-1."""
-    limits = np.asarray(limits, dtype=np.intp)
-    rates = np.asarray(rates, dtype=float)
+    limits, rates = np.asarray(limits), np.asarray(rates, dtype=float)
+    if limits.dtype.kind not in "iu":
+        raise ValueError(f"limits must be integers, got dtype {limits.dtype}")
     if limits.ndim != 2 or limits.shape != rates.shape:
         raise ValueError(f"limits and rates must be P x M arrays of one shape, "
                          f"got {limits.shape} and {rates.shape}")
@@ -49,7 +50,7 @@ def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
         raise ValueError(f"limits must lie in 0..{n}")
     if not (np.isfinite(rates) & (rates >= 0)).all():
         raise ValueError("rates must be finite and >= 0")
-    return limits, rates, np.log(np.arange(1, n + 1) * config.mu)
+    return limits.astype(np.intp, copy=False), rates, np.log(np.arange(1, n + 1) * config.mu)
 
 
 def _solve(limits: np.ndarray, rates: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
@@ -98,8 +99,11 @@ def steady_state(config: SystemConfig, limits, rates) -> np.ndarray:
 def total_rate(rates) -> np.ndarray:
     """Total arrival rate of every point of a P x M rate grid, added class
     by class from class 1: a plain left-to-right sum of each row."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2:
+        raise ValueError(f"rates must be a P x M grid, got shape {rates.shape}")
     total = np.zeros(len(rates))
-    for column in np.asarray(rates, dtype=float).T:
+    for column in rates.T:
         total += column
     return total
 

@@ -1,27 +1,18 @@
 """Event-driven simulator of the closed admission loop.
 
-Per-class Poisson arrivals feed sliding-window rate estimators. Each class
-draws its arrival times and holding times in chunks from its own two
-generators, and the classes are merged in time order ahead of the loop; a
-heap holds only the pending departure times. At equal times a departure
-frees its channel before an arrival is tested, and arrivals go by class
-index. Under the dynamic policy the guard floors y_m follow the window
-estimates through the allocator's floor rule. The estimator sees every
-arrival, admitted or blocked, so the estimates, and with them each
-arrival's class limit, depend only on the arrival times: they are computed
-per block of arrivals with numpy, ahead of the loop, together with each
-arrival's departure time should it be admitted. The loop only admits and
-notes the blocked rows; the per-class counts come from each block's class
-column afterwards. A call is admitted iff the occupancy is below its class
-limit. Departures are exponential. Runs are deterministic for a fixed
-scenario, and both policies can be replayed on the identical random draws
-for paired comparison.
-
-With an ``on_events`` sink, each block's per-call events are built after
-the loop has admitted it, with numpy, from the block's columns and its
-blocked rows, and handed to the sink as one batch of three columns per
-block as the run goes, so the memory a run holds does not depend on its
-length.
+Per-class Poisson arrivals feed sliding-window rate estimators; a call is
+admitted iff the occupancy is below its class limit, and departures are
+exponential. The estimator sees every arrival, admitted or blocked, so each
+arrival's limit depends only on the arrival times. The feed
+(``_arrival_batches``) computes the limits with numpy ahead of the loop, a
+block of arrivals at a time, in two stages: the merge stage (``_merge``)
+takes the block from the classes' drawn-ahead arrivals in time order, and
+the limit stage (``_estimated_access``) runs the allocator's floor rule on
+each row's window estimates. The loop only admits calls, with a heap of the
+pending departure times, and an ``on_events`` sink gets each block's events
+after it (``run_simulation``). Runs are deterministic for a fixed scenario,
+and both policies can be replayed on the identical random draws for paired
+comparison.
 
 ``SimScenario``'s fields are the ``[simulation]`` keys of a config, and
 ``[traffic] rates``: each field's default, check and rule live there once,
@@ -40,8 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allocator import (SystemConfig, checked, compute_partition, field_errors, floor_rule,
-                        integer_at_least)
+from .allocator import (RATE_VECTOR, SystemConfig, checked, compute_partition, field_errors,
+                        floor_rule, integer_at_least)
 from .traffic import ArrivalWindow
 
 POLICY_DYNAMIC = "dynamic"
@@ -61,17 +52,11 @@ _BLOCK = 1024
 _EVENT_KINDS = (("arrival", "accept"), ("arrival", "block"), ("departure", "release"))
 
 
-def finite_non_negative(values) -> bool:
-    """Every entry finite and >= 0, and a finite sum."""
-    return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
-
-
 @dataclass(frozen=True)
 class SimScenario:
     config: SystemConfig
     # per-class arrival rates, class 1 first
-    rates: tuple[float, ...] = checked(
-        check=finite_non_negative, rule="entries must be finite and >= 0 with a finite sum")
+    rates: tuple[float, ...] = checked(**RATE_VECTOR)
     # total arrivals simulated (all classes)
     arrivals: int = checked(1_000_000, **integer_at_least(1))
     seed: int = checked(0, **integer_at_least(0))
@@ -144,6 +129,82 @@ class _ClassStream:
                 (self.estimates, self.window.record_arrivals(times)))
 
 
+def _merge(streams, classes, size):
+    """The next ``size`` arrivals of ``streams``, whose class indices are
+    ``classes``, dropped from the streams: their times, class indices,
+    holding times and own-class window estimates (None without windows), in
+    the order of one stable ``argsort`` of their concatenated times.
+
+    Every class's arrivals before the earliest last drawn time among the
+    classes are complete, and so are those at that time of the first class
+    that drew it and of the classes before it. A later class's arrivals at
+    that time wait: a gap of 0.0, or one too small to change the time, may
+    give the first class another arrival at it. That class draws on until
+    the complete arrivals are ``size`` or more.
+    """
+    while True:
+        low = min(streams, key=attrgetter("last"))
+        horizon = low.last
+        # low may draw more arrivals at horizon, which go before a later
+        # class's arrivals at that time
+        counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
+                  for s in streams]
+        if sum(counts) >= size:
+            break
+        if horizon == math.inf:
+            # the loop's heap sentinel is inf; a rate this small has no run
+            raise ValueError("arrival times overflow to inf: a positive rate is below "
+                             "the smallest whose mean gap 1/rate is finite")
+        low.refill()
+    times = np.concatenate([s.times[:k] for s, k in zip(streams, counts)])
+    # stable, so equal times keep class order
+    rows = times.argsort(kind="stable")[:size]
+    cls = np.repeat(classes, counts)[rows]
+    holds = np.concatenate([s.holds[:k] for s, k in zip(streams, counts)])[rows]
+    own = (np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])[rows]
+           if streams[0].window is not None else None)
+    taken = np.bincount(cls, minlength=classes[-1] + 1)[classes].tolist()
+    for s, k in zip(streams, taken):
+        s.times, s.holds, s.estimates = s.times[k:], s.holds[k:], s.estimates[k:]
+    return times[rows], cls, holds, own
+
+
+def _estimated_access(cls, own, latest, ready, rates, gamma):
+    """A block's guard floors y (M x rows, int) under the window estimates,
+    the estimate vector of each row (M x rows, float) and the state
+    (``latest``, ``ready``) to carry into the next block.
+
+    ``own`` is each row's estimate of its own class ``cls``, and ``latest``
+    each class's estimate before the block: nan until its window holds a
+    gap, and 0.0 for a class configured at rate 0, which never arrives. A
+    row's vector holds every class's latest estimate at that row. From the
+    first row whose vector has no nan the estimator is ``ready``; the rows
+    before it take the configured ``rates``, on which the floor rule gives
+    ``compute_partition``'s configured partition by the same float operations.
+    """
+    m_count, size = len(rates), len(cls)
+    span = np.arange(size)
+    # row -1 - m of the table holds class m's entry of latest
+    table = np.concatenate((own, latest[::-1]))
+    # the row of each class's latest arrival at or before each row, or its
+    # entry of latest
+    source = np.empty((m_count, size), dtype=np.intp)
+    source[:] = np.arange(-1, -1 - m_count, -1)[:, None]
+    source[cls, span] = span
+    np.maximum.accumulate(source, axis=1, out=source)
+    columns = table[source]
+    del table, source
+    latest = columns[:, -1].tolist()
+    if not ready:
+        # a class's estimates are nan until its second arrival, finite from then on
+        nan_free = ~np.isnan(columns).any(axis=0)
+        ready = bool(nan_free[-1])
+        warm = int(nan_free.argmax()) if ready else size
+        columns[:, :warm] = np.array(rates)[:, None]
+    y = np.array(floor_rule(m_count, gamma, np.floor)(*columns), dtype=np.intp)
+    return y, columns, latest, ready
+
+
 def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_trace: list):
     """Yield the run's ``scenario.arrivals`` arrivals in time order, ties by
     class index, in blocks of ``_BLOCK`` rows, and append the traced rows
@@ -153,36 +214,21 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
     time is the arrival time plus the holding time, one numpy add per
     block: the same float add as adding them when the call is admitted.
 
-    Each class with a positive rate draws ahead in chunks (``_ClassStream``).
-    Every class's arrivals before the earliest last drawn time among the
-    classes are complete, and so are those at that time of the first class
-    that drew it and of the classes before it. A later class's arrivals at
-    that time wait: a gap of 0.0, or one too small to change the time, may
-    give the first class another arrival at it. That class draws on until
-    the complete arrivals are a block or more, and the earliest of them,
-    merged by one stable ``argsort`` of their concatenated times, make the
-    block; the other columns are gathered by the same rows. Nothing here
-    depends on the admission decisions, so a block's limits are computed
-    before the loop sees it. The windows give each class's estimate after each of its
-    arrivals, per chunk. The estimate vector at a row holds every class's
-    latest estimate: each class's estimates are forward-filled across the
-    block's rows, and the allocator's floor rule runs on those columns.
-    Rows before the estimator is ready take the configured rates as their
-    estimates, on which the floor rule gives the configured partition, the
-    same float operations as ``compute_partition``'s; every row of a run
-    that does not estimate gets the configured partition.
+    The merge stage takes each block from the classes' streams
+    (``_ClassStream``). Under the dynamic policy with the window estimator
+    the limit stage gives its rows' guard floors y; every row of another
+    run gets the configured y: the configured partition's under the dynamic
+    policy, the whole guard pool under sharing. A row's limit is its
+    class's y plus the channels outside the guard pool.
     """
     config, rates = scenario.config, scenario.rates
     m_count = len(rates)
     estimating = scenario.policy == POLICY_DYNAMIC and not scenario.bypass_estimator
     if scenario.policy == POLICY_DYNAMIC:
-        configured = compute_partition(config, rates)
-        access, limits = configured.guard_access, configured.limits
+        access = compute_partition(config, rates).guard_access
     else:
-        access, limits = (config.guard,) * m_count, (config.n_channels,) * m_count
-    configured_limits = np.array(limits)
-    rate_column = np.array(rates)[:, None]
-    floors = floor_rule(m_count, config.guard, np.floor)
+        access = (config.guard,) * m_count
+    configured = np.array(access, dtype=np.intp)[:, None]
     unreserved = config.n_channels - config.guard
 
     seeds = np.random.SeedSequence(scenario.seed).spawn(2 * m_count)
@@ -192,80 +238,29 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         for m, rate in enumerate(rates) if rate > 0
     ]
     classes = np.array([s.m for s in streams])
-    # each class's estimate before the block: nan until its window holds a
-    # gap, and 0.0 for a class configured at rate 0, which never arrives
     latest = [math.nan if rate > 0 else 0.0 for rate in rates]
-    # row -1 - m of a block's estimate table holds class m's entry of latest
-    before = np.arange(-1, -1 - m_count, -1)[:, None]
-    stride = scenario.trace_stride
-    # ready once every class with a positive rate has a gap in its window;
-    # a class's estimates are nan until its second arrival, finite from then on
     ready = False
 
-    # a function, so that no array of a block outlives it but its four columns
-    def block(done, size):
-        nonlocal ready, latest
-        while True:
-            low = min(streams, key=attrgetter("last"))
-            horizon = low.last
-            # low may draw more arrivals at horizon, which go before a later
-            # class's arrivals at that time
-            counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
-                      for s in streams]
-            if sum(counts) >= size:
-                break
-            if horizon == math.inf:
-                # the loop's heap sentinel is inf; a rate this small has no run
-                raise ValueError("arrival times overflow to inf: a positive rate is below "
-                                 "the smallest whose mean gap 1/rate is finite")
-            low.refill()
-        times = np.concatenate([s.times[:k] for s, k in zip(streams, counts)])
-        # stable, so equal times keep class order
-        rows = times.argsort(kind="stable")[:size]
-        times = times[rows]
-        cls = np.repeat(classes, counts)[rows]
-        taken = np.bincount(cls, minlength=m_count)[classes].tolist()
-        holds = np.concatenate([s.holds[:k] for s, k in zip(streams, counts)])[rows]
-        limit = configured_limits[cls]
-        if estimating:
-            span = np.arange(size)
-            own = np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])
-            table = np.concatenate((own[rows], latest[::-1]))
-            # the row of each class's latest arrival at or before each row,
-            # or its entry of latest
-            source = np.empty((m_count, size), dtype=np.intp)
-            source[:] = before
-            source[cls, span] = span
-            np.maximum.accumulate(source, axis=1, out=source)
-            columns = table[source]
-            del own, table, source
-            latest = columns[:, -1].tolist()   # each class's estimate after the block
-            if not ready:
-                nan_free = ~np.isnan(columns).any(axis=0)
-                ready = bool(nan_free[-1])
-                warm = int(nan_free.argmax()) if ready else size
-                columns[:, :warm] = rate_column
-            y = np.array(floors(*columns))
-            limit[:] = y[cls, span] + unreserved
-
-        for s, k in zip(streams, taken):     # drop the arrivals handed out
-            s.times, s.holds, s.estimates = s.times[k:], s.holds[k:], s.estimates[k:]
-        first = -(done + 1) % stride     # the row of the next traced arrival
-        at = times[first::stride].tolist()
-        if estimating:
-            # gathered by an index array: strided views here measured ~60 KiB
-            # more peak RSS on a 100k-arrival run
-            traced = np.arange(first, size, stride)
-            ys = y[:, traced].T.astype(np.intp).tolist()
-            partition_trace.extend((t, *row) for t, row in zip(at, ys))
-            estimates = columns[:, traced].T.tolist()
-            estimator_trace.extend((t, *row) for t, row in zip(at, estimates))
-        else:
-            partition_trace.extend((t, *access) for t in at)
-        return times, cls, times + holds, limit.tolist()
-
     for done in range(0, scenario.arrivals if streams else 0, _BLOCK):
-        yield block(done, min(_BLOCK, scenario.arrivals - done))
+        size = min(_BLOCK, scenario.arrivals - done)
+        times, cls, holds, own = _merge(streams, classes, size)
+        # gathered by an index array: strided views here measured ~60 KiB
+        # more peak RSS on a 100k-arrival run
+        traced = np.arange(-(done + 1) % scenario.trace_stride, size, scenario.trace_stride)
+        at = times[traced].tolist()
+        if estimating:
+            y, columns, latest, ready = _estimated_access(cls, own, latest, ready, rates,
+                                                          config.guard)
+            estimator_trace.extend(zip(at, *columns[:, traced].tolist()))
+            del columns
+        else:
+            y = np.broadcast_to(configured, (m_count, size))
+        partition_trace.extend(zip(at, *y[:, traced].tolist()))
+        block = times, cls, times + holds, (y[cls, np.arange(size)] + unreserved).tolist()
+        # no array of a block outlives its yield but the ones handed out
+        del times, cls, holds, own, y, traced
+        yield block
+        del block
 
 
 def event_fields(m_count: int) -> list[tuple[str, int, str]]:
@@ -361,18 +356,11 @@ def run_simulation(
     same time is tested, and arrivals at the same time go by class index.
 
     Under the dynamic policy the guard partition follows the window
-    estimates. Until the estimator is ready, the configured rates stand in.
-    It is ready once every class with a positive configured rate has an
-    inter-arrival gap in its window; a class configured at rate 0 never
-    arrives, so it counts as ready from the start with estimate 0.0. The
-    estimator sees every arrival, admitted or blocked, and the partition
-    depends only on the estimates, so the limit each arrival is tested
-    against depends only on the arrival times. It is computed per block,
-    ahead of the loop. The result is exact, not an approximation: each
-    window's running sums over a chunk are one ``cumsum`` of the same adds
-    and subtracts in the same order (``ArrivalWindow.record_arrivals``),
-    and the allocator's floor rule runs the same float operations on
-    columns as on one vector.
+    estimates (``_estimated_access``). The result is exact, not an
+    approximation: each window's running sums over a chunk are one
+    ``cumsum`` of the same adds and subtracts in the same order
+    (``ArrivalWindow.record_arrivals``), and the allocator's floor rule
+    runs the same float operations on columns as on one vector.
 
     The loop (``_admit``) only admits and notes the blocked rows. After
     each block, a class's measured arrivals are counted from the class

@@ -28,6 +28,7 @@ NUM_BANDS = 7
 
 
 _POSITIVE = dict(check=lambda v: v > 0, rule="must be > 0")
+_ANGLE = dict(check=lambda v: 0 <= v <= 90, rule="must be in [0, 90]")
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,10 @@ class OpticalLinkParams:
                                       rule="must be in (0, 90)")
     detector_area: float = checked(1e-4, **_POSITIVE)    # photo-detector area, m^2
     distance: float = checked(2.0, **_POSITIVE)          # transmitter-receiver distance, m
-    irradiance_angle: float = 0.0    # degrees
-    incidence_angle: float = 0.0     # degrees
-    # receiver field of view, degrees
-    fov: float = checked(60.0, check=lambda v: 0 <= v <= 90, rule="must be in [0, 90]")
+    irradiance_angle: float = checked(0.0, **_ANGLE)    # degrees
+    incidence_angle: float = checked(0.0, **_ANGLE)     # degrees
+    # receiver field of view, degrees; the gain is n^2 / sin^2(fov)
+    fov: float = checked(60.0, check=lambda v: 0 < v <= 90, rule="must be in (0, 90]")
     filter_coeff: float = checked(1.0, check=lambda v: 0 <= v <= 1, rule="must be in [0, 1]")
     refractive_index: float = checked(1.5, check=lambda v: v >= 1, rule="must be >= 1")
     # transmitted optical power
@@ -62,18 +63,19 @@ def lambertian_order(half_power_angle: float) -> float:
 
 
 def concentrator_gain(psi: float, fov: float, refractive_index: float) -> float:
-    """Optical concentrator gain; zero outside the field of view. Angles in degrees."""
+    """Optical concentrator gain; zero outside the field of view. Angles in
+    degrees: ``psi`` in [0, 90] and ``fov`` in (0, 90]."""
     if refractive_index < 1:
         raise ValueError(f"refractive index must be >= 1, got {refractive_index}")
-    if psi < 0 or psi > fov:
+    if not (0 <= psi <= 90 and 0 < fov <= 90):
+        raise ValueError(f"angles must be psi in [0, 90] and fov in (0, 90], got {psi}, {fov}")
+    if psi > fov:
         return 0.0
     return refractive_index**2 / math.sin(math.radians(fov)) ** 2
 
 
 def los_channel_gain(params: OpticalLinkParams) -> float:
     """DC channel gain of the line-of-sight link; zero outside the FOV."""
-    if params.incidence_angle < 0 or params.incidence_angle > params.fov:
-        return 0.0
     tau = lambertian_order(params.half_power_angle)
     g = concentrator_gain(params.incidence_angle, params.fov, params.refractive_index)
     return (

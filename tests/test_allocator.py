@@ -144,6 +144,15 @@ class TestComputePartition:
         with pytest.raises(ValueError):
             compute_partition(CFG, rates)
 
+    @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308)],
+                             ids=["-0.1", "nan", "1e308+1e308"])
+    def test_bad_rate_is_field_error(self, rates):
+        # the package's one rate rule, the one SimScenario declares
+        with pytest.raises(FieldError, match=r"^rates: entries must be finite and >= 0 "
+                                             r"with a finite sum, got \(") as exc:
+            compute_partition(CFG, rates)
+        assert exc.value.name == "rates"
+
     @given(rates=rate_vectors, scale=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, rates, scale):
         base = compute_partition(CFG, rates)

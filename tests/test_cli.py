@@ -89,6 +89,11 @@ BAD_FIELDS = [
     ("vlc-link", "[vlc]\ndistance = -2", [], "[vlc] distance"),
     ("vlc-link", "[vlc]\ndistance = nan", [], "[vlc] distance"),
     ("vlc-link", "[vlc]\nfov = 91", [], "[vlc] fov"),
+    ("vlc-link", "[vlc]\nfov = 0", [], "[vlc] fov"),
+    ("vlc-link", "[vlc]\nirradiance_angle = nan", [], "[vlc] irradiance_angle"),
+    ("vlc-link", "[vlc]\nirradiance_angle = 120", [], "[vlc] irradiance_angle"),
+    ("vlc-link", "[vlc]\nincidence_angle = nan", [], "[vlc] incidence_angle"),
+    ("vlc-link", "[vlc]\nincidence_angle = 120", [], "[vlc] incidence_angle"),
     ("vlc-link", "[vlc]\nfilter_coeff = 1.5", [], "[vlc] filter_coeff"),
     ("vlc-link", "[vlc]\nrefractive_index = 0.9", [], "[vlc] refractive_index"),
     ("vlc-link", "[vlc]\ntransmit_power = -1", [], "[vlc] transmit_power"),

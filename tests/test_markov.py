@@ -170,6 +170,21 @@ class TestBlockingProbabilities:
             with pytest.raises(ValueError, match="rates must be finite and >= 0"):
                 solve(cfg, [[4, 3], [4, 4]], [[1.0, 1.0], [1.0, bad]])
 
+    @pytest.mark.parametrize("limits", [[[3.7, 4]], [[4.0, 3.0]], [[np.nan, 4]]],
+                             ids=["3.7", "4.0", "nan"])
+    def test_non_integer_limits_rejected(self, limits):
+        # cast to int, [[3.7, 4]] would silently solve the chain of limit 3
+        cfg = SystemConfig(4, 1, 1.0, 10)
+        for solve in (steady_state, blocking_probabilities):
+            with pytest.raises(ValueError, match="limits must be integers"):
+                solve(cfg, limits, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("rates", [[1.0, 2.0], 3.0, [[[1.0]]]], ids=["1-D", "0-D", "3-D"])
+    def test_total_rate_needs_a_grid(self, rates):
+        # a 1-D vector read as a grid gave [3., 3.], one total per entry
+        with pytest.raises(ValueError, match="P x M grid"):
+            markov.total_rate(rates)
+
     def test_grid_rows_match_single_points(self):
         # a lambda_1 sweep whose limits change inside a block, over several
         # blocks and a partial one: each row is solved as if on its own

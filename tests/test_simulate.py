@@ -169,6 +169,74 @@ class TestDynamicFastPath:
         assert all(row != (0.5, 0.3, 0.0) for row in rows)
 
 
+@st.composite
+def limit_stage_blocks(draw):
+    """A block for the limit stage: (config, rates, cls, own, latest, ready,
+    split). As in a run, a class's own estimates are nan until some row and
+    finite from then on, ``latest`` is nan only for a class still in that
+    prefix and 0.0 for a class configured at rate 0, which never arrives,
+    and ``ready`` may be true only if ``latest`` holds no nan. ``split`` is
+    a row at which to cut the block in two."""
+    m_count = draw(st.integers(min_value=1, max_value=4))
+    rates = tuple(draw(st.lists(st.just(0.0) | st.floats(min_value=0.05, max_value=50.0),
+                                min_size=m_count, max_size=m_count).filter(any)))
+    gamma = draw(st.integers(min_value=0, max_value=30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # guard > N/2 warns
+        config = SystemConfig(gamma + draw(st.integers(min_value=1, max_value=30)), gamma,
+                              1.0, 10)
+    estimate = st.floats(min_value=1e-3, max_value=1e3)
+    latest = [draw(st.just(math.nan) | estimate) if r > 0 else 0.0 for r in rates]
+    active = [m for m, r in enumerate(rates) if r > 0]
+    cls = draw(st.lists(st.sampled_from(active), min_size=2, max_size=40))
+    own = [draw(estimate) for _ in cls]
+    for m in active:
+        if math.isnan(latest[m]):
+            rows = [i for i, c in enumerate(cls) if c == m]
+            for i in rows[:draw(st.integers(min_value=0, max_value=len(rows)))]:
+                own[i] = math.nan
+    ready = draw(st.booleans()) and not any(math.isnan(v) for v in latest)
+    split = draw(st.integers(min_value=1, max_value=len(cls) - 1))
+    return config, rates, np.array(cls), np.array(own), latest, ready, split
+
+
+class TestLimitStage:
+    # the limit stage on its own: each row's vector is built here one row at
+    # a time, so a row the stage gives the wrong vector shows, warm or ready
+    @settings(max_examples=200, deadline=None)
+    @given(block=limit_stage_blocks())
+    # the estimator gets ready at row 3, whose estimates (5, 1) give another
+    # partition than the configured rates (1, 3)
+    @example(block=(SystemConfig(20, 10, 1.0, 10), (1.0, 3.0), np.array([0, 1, 0, 1]),
+                    np.array([math.nan, math.nan, 5.0, 1.0]), [math.nan, math.nan], False, 2))
+    def test_rows_match_compute_partition(self, block):
+        config, rates, cls, own, latest, ready, split = block
+        y, columns, after, now_ready = simulate._estimated_access(
+            cls, own, latest, ready, rates, config.guard)
+        configured = compute_partition(config, rates).guard_access
+        vector = list(latest)
+        for row, (m, estimate) in enumerate(zip(cls.tolist(), own.tolist())):
+            vector[m] = estimate
+            ready = ready or not any(math.isnan(v) for v in vector)
+            if ready:
+                assert tuple(y[:, row].tolist()) == compute_partition(config, vector).guard_access
+                assert columns[:, row].tolist() == vector
+            else:
+                assert tuple(y[:, row].tolist()) == configured
+        assert np.array_equal(after, vector, equal_nan=True)
+        assert now_ready == ready
+
+        # the carried state makes two blocks one
+        head = simulate._estimated_access(cls[:split], own[:split], latest, block[5], rates,
+                                          config.guard)
+        tail = simulate._estimated_access(cls[split:], own[split:], head[2], head[3], rates,
+                                          config.guard)
+        assert np.array_equal(np.hstack((head[0], tail[0])), y)
+        assert np.array_equal(np.hstack((head[1], tail[1])), columns, equal_nan=True)
+        assert np.array_equal(tail[2], after, equal_nan=True)
+        assert tail[3] == now_ready
+
+
 class _QuantisedRng:
     """A generator whose exponential draws land on a 1/4 grid (and are never
     0), so arrival and departure times tie often and exactly."""

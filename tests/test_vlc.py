@@ -65,6 +65,14 @@ class TestConcentratorGain:
         with pytest.raises(ValueError):
             concentrator_gain(0.0, 60.0, 0.9)
 
+    # a nan angle passed the field-of-view test and gave the in-view gain,
+    # and a field of view of 0 divided by sin(0) = 0
+    @pytest.mark.parametrize("psi,fov", [(math.nan, 60.0), (-1.0, 60.0), (91.0, 95.0),
+                                         (30.0, math.nan), (0.0, 0.0), (0.0, 91.0)])
+    def test_angle_outside_its_range_rejected(self, psi, fov):
+        with pytest.raises(ValueError, match=r"psi in \[0, 90\] and fov in \(0, 90\]"):
+            concentrator_gain(psi, fov, 1.5)
+
 
 class TestChannelGain:
     def test_worked_link(self):
