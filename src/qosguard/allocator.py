@@ -6,12 +6,10 @@ floor of the suffix sum of shares from its own class down to the lowest
 priority. Class 1 can always reach all N channels. A class-m call is
 admitted iff the occupancy is below its limit N_m.
 
-The floor rule y_m = floor(X_m + ... + X_M) is one function for a class
-count M and guard pool Gamma: the simulator's dynamic policy evaluates it
-on numpy columns, one row per arrival, the CLI's analytic sweep on one row
-per sweep point, and ``compute_partition`` evaluates the same code on
-floats. An all-zero rate vector has no proportional split:
-``compute_partition`` gives it the equal one.
+The floor rule y_m = floor(X_m + ... + X_M) is one function on numpy
+columns, one row per rate vector: per arrival in the simulator's dynamic
+policy, per grid point in ``partitions`` and for one vector in
+``compute_partition``. ``partitions`` gives an all-zero row the equal split.
 
 Every parameter type of the package declares each check on its field with
 ``checked``; ``field_errors`` runs them, and a failure is a ``FieldError``
@@ -26,6 +24,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from numbers import Integral
 from operator import add
+
+import numpy as np
 
 # Snap applied before floor(): suffix sums that are integers in exact
 # arithmetic may land a few ulps low in floats (e.g. 0.7/1.0*10).
@@ -73,6 +73,12 @@ def _passes(check, value) -> bool:
         return False
 
 
+def require(name: str, value, *, check, rule: str) -> None:
+    """Raise the ``FieldError`` of ``name`` unless ``value`` passes ``check``."""
+    if not _passes(check, value):
+        raise FieldError(name, rule, value)
+
+
 def field_errors(obj) -> list[FieldError]:
     """A ``FieldError`` for each field of dataclass ``obj`` that fails its
     check, in field order. A field whose default is None may be None."""
@@ -113,19 +119,17 @@ class ChannelPartition:
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
 
 
-def floor_rule(m_count: int, gamma: int, floor=math.floor):
+def floor_rule(m_count: int, gamma: int):
     """The function ``(r_1, ..., r_M) -> (y_1, ..., y_M)`` for ``m_count``
-    classes and a guard pool of ``gamma`` channels.
+    classes and a guard pool of ``gamma`` channels, on numpy columns: each
+    r_m holds class m's rate of every row, and each y_m is a float column.
 
     It computes total = r_1 + ... + r_M, X_m = r_m / total * gamma and
     y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to right: the
     same float operations in the same order as a loop over the shares.
-    With ``floor=np.floor`` the same code runs on numpy columns, one row per
-    rate vector, and gives each y_m as a float column of the same values.
     Does no validation: the rates must be finite and non-negative with a
-    positive sum. ``compute_partition`` checks them first; the simulator's
-    window estimates satisfy this by construction, and the CLI's sweep grid
-    is checked by ``parse_config`` and has its all-zero rows replaced.
+    positive sum. ``partitions`` replaces all-zero rows first; the
+    simulator's window estimates satisfy this by construction.
     """
     if m_count < 1:
         raise ValueError(f"need at least one class, got {m_count}")
@@ -133,20 +137,25 @@ def floor_rule(m_count: int, gamma: int, floor=math.floor):
     def rule(*rates):
         total = reduce(add, rates)
         shares = [r / total * gamma for r in rates]
-        return tuple(floor(reduce(add, shares[m:]) + _FLOOR_SNAP) for m in range(m_count))
+        return tuple(np.floor(reduce(add, shares[m:]) + _FLOOR_SNAP) for m in range(m_count))
 
     return rule
 
 
+def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
+    """Guard access y_m and limit N_m = y_m + N - Gamma of every row of a
+    P x M rate grid, as two P x M int arrays; an all-zero row gets the equal
+    split. Every entry must be finite and >= 0 with a finite row sum: the
+    CLI's grids are checked by ``parse_config``."""
+    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0)
+    access = np.array(floor_rule(rates.shape[1], config.guard)(*rates.T), dtype=int).T
+    return access, access + (config.n_channels - config.guard)
+
+
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
-    """Per-class partition (y_m, N_m) for the given rate vector. The rates
-    must be finite and non-negative with a finite sum; an all-zero vector
-    splits the guard pool equally."""
+    """Per-class partition (y_m, N_m) of one rate vector that passes the
+    ``RATE_VECTOR`` check: the one-row case of ``partitions``."""
     rates = tuple(float(r) for r in rates)
-    if not finite_non_negative(rates):
-        raise FieldError("rates", RATE_VECTOR["rule"], rates)
-    if not any(rates):
-        rates = (1.0,) * len(rates)
-    guard_access = floor_rule(len(rates), config.guard)(*rates)
-    limits = tuple(config.n_channels - config.guard + y for y in guard_access)
-    return ChannelPartition(guard_access=guard_access, limits=limits)
+    require("rates", rates, **RATE_VECTOR)
+    access, limits = partitions(config, np.array([rates]))
+    return ChannelPartition(tuple(access[0].tolist()), tuple(limits[0].tolist()))

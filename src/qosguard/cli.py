@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import markov, vlc
-from .allocator import floor_rule
+from .allocator import partitions
 from .config import ConfigError, ExperimentSpec, parse_config, render_manifest, sweep_points
 from .simulate import POLICIES, SimScenario, compare_policies, event_fields, run_simulation
 
@@ -98,25 +98,13 @@ def _event_log(path: Path, m_count: int):
             yield send_for
 
 
-def _partitions(config, rates):
-    """Guard access y_m and limit N_m of every point of a P x M rate grid,
-    as two P x M int arrays, from one run of the allocator's floor rule on
-    the grid's columns. An all-zero row gets the equal split, as in
-    ``compute_partition``. ``parse_config`` has checked the grid: every
-    entry is finite and >= 0, and every offered load is finite."""
-    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0)
-    columns = floor_rule(rates.shape[1], config.guard, np.floor)(*rates.T)
-    access = np.array(columns, dtype=int).T
-    return access, access + (config.n_channels - config.guard)
-
-
 def _analytic_point(spec, rates):
     """Analytic B_m and utilization under the dynamic partition at every
     point of the rate grid, plus the complete-sharing baseline at the same
     total load. Returns the guard access, the blocking report, B_sharing and
     util_sharing, each with one row per point."""
     config = spec.config
-    access, limits = _partitions(config, rates)
+    access, limits = partitions(config, rates)
     report = markov.blocking_probabilities(config, limits, rates)
     offered = report.offered_load
     b_sharing = markov.erlang_b(config.n_channels, offered)
@@ -153,6 +141,12 @@ def _mode_analyze(spec: ExperimentSpec, out: Path) -> None:
     )
 
 
+def _class_rows(key, *columns):
+    """One row per class m: the fields of ``key``, the class number m + 1
+    and class m's entry of each of ``columns``."""
+    return [(*key, m + 1, *values) for m, values in enumerate(zip(*columns))]
+
+
 def _replications(spec: ExperimentSpec, rates) -> list[SimScenario]:
     """The scenario of each replication at ``rates``: every other
     ``SimScenario`` field taken from the spec by name, and replication r
@@ -174,14 +168,10 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
         for rep, scenario in enumerate(_replications(spec, rates)):
             sink = sink_for(rep) if sink_for is not None else None
             metrics = run_simulation(scenario, on_events=sink)
-            blocking_rows += [
-                (rep, m + 1, metrics.per_class_arrivals[m], metrics.per_class_blocks[m],
-                 metrics.empirical_blocking[m])
-                for m in range(m_count)
-            ]
+            blocking_rows += _class_rows((rep,), metrics.per_class_arrivals,
+                                         metrics.per_class_blocks, metrics.empirical_blocking)
             util_rows.append((rep, metrics.utilization, metrics.duration))
-            for rec in metrics.partition_trace:
-                partition_rows.append((rep, *rec))
+            partition_rows += [(rep, *rec) for rec in metrics.partition_trace]
     _write_csv(
         out / "blocking.csv",
         ["replication", "class", "arrivals", "blocks", "empirical_blocking"],
@@ -198,17 +188,12 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
     if spec.rates is None:
         raise ConfigError("[traffic] rates required for compare mode")
-    rates = spec.rates
-    m_count = len(rates)
     blocking_rows, util_rows = [], []
-    for rep, scenario in enumerate(_replications(spec, rates)):
+    for rep, scenario in enumerate(_replications(spec, spec.rates)):
         # compare_policies returns the runs in the order of POLICIES
         for policy, metrics in zip(POLICIES, compare_policies(scenario)):
-            blocking_rows += [
-                (rep, policy, m + 1, metrics.per_class_arrivals[m],
-                 metrics.per_class_blocks[m], metrics.empirical_blocking[m])
-                for m in range(m_count)
-            ]
+            blocking_rows += _class_rows((rep, policy), metrics.per_class_arrivals,
+                                         metrics.per_class_blocks, metrics.empirical_blocking)
             util_rows.append((rep, policy, metrics.utilization, metrics.duration))
     _write_csv(
         out / "blocking.csv",
@@ -224,28 +209,16 @@ def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
 
 def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
     _, _, rates = sweep_points(spec)
-    m_count = rates.shape[1]
-    _, limits = _partitions(spec.config, rates)
-    report = markov.blocking_probabilities(spec.config, limits, rates)
-    lam_t = markov.total_rate(rates).tolist()
+    _, report, _, _ = _analytic_point(spec, rates)
+    points = zip(markov.total_rate(rates).tolist(), rates.tolist(),
+                 report.per_class.tolist(), report.utilization.tolist())
     blocking_rows, util_rows = [], []
-    for p, point in enumerate(rates.tolist()):
-        analytic = report.per_class[p].tolist()
-        analytic_util = float(report.utilization[p])
+    for lam_t, point, analytic, analytic_util in points:
         for rep, scenario in enumerate(_replications(spec, point)):
             metrics = run_simulation(scenario)
-            for m in range(m_count):
-                blocking_rows.append(
-                    (
-                        lam_t[p],
-                        rep,
-                        m + 1,
-                        metrics.per_class_arrivals[m],
-                        metrics.empirical_blocking[m],
-                        analytic[m],
-                    )
-                )
-            util_rows.append((lam_t[p], rep, metrics.utilization, analytic_util))
+            blocking_rows += _class_rows((lam_t, rep), metrics.per_class_arrivals,
+                                         metrics.empirical_blocking, analytic)
+            util_rows.append((lam_t, rep, metrics.utilization, analytic_util))
     _write_csv(
         out / "blocking.csv",
         ["lambda_T", "replication", "class", "arrivals", "empirical_blocking", "analytic_blocking"],

@@ -4,7 +4,8 @@ on a machine with two cores the writing overlaps the run.
 
 Each batch goes down the pipe as raw bytes: a head of two int64 values
 (the replication and the row count), then the time, code and occupancy
-columns. The CLI imports this module only for a run that writes events.
+columns; the writer reads each part whole with one buffered ``readinto``.
+The CLI imports this module only for a run that writes events.
 """
 
 from __future__ import annotations
@@ -37,27 +38,25 @@ def _send_batch(fd: int, rep: int, *batch) -> None:
 
 
 def _read_exactly(pipe, buffer) -> bool:
-    """Fill ``buffer`` from the unbuffered ``pipe``; False at the end of
-    the stream before its first byte, an ``EOFError`` inside it."""
+    """Fill ``buffer`` from the buffered ``pipe``, whose ``readinto`` reads
+    until the buffer is full or the stream ends; False at the end of the
+    stream before its first byte, an ``EOFError`` inside it."""
     view = memoryview(buffer).cast("B")
-    got = 0
-    while got < len(view):
-        n = pipe.readinto(view[got:])
-        if not n:
-            if got:
-                raise EOFError(f"event batch cut after {got} of {len(view)} bytes")
-            return False
-        got += n
+    got = pipe.readinto(view)
+    if got < len(view):
+        if got:
+            raise EOFError(f"event batch cut after {got} of {len(view)} bytes")
+        return False
     return True
 
 
 def _write_batches(fd: int, sink_for) -> None:
-    """The writer process's work: read each event batch from pipe ``fd``
-    into buffers sized by the batch and pass it to ``sink_for(rep)``, until
-    the pipe's write end is closed."""
+    """The writer process's work: read each event batch from pipe ``fd``,
+    buffered, into arrays sized by the batch and pass it to ``sink_for(rep)``,
+    until the pipe's write end is closed; a cut batch raises ``EOFError``."""
     sinks = {}
     head = np.empty(2, dtype=_BATCH_HEAD)
-    with open(fd, "rb", buffering=0) as pipe:
+    with open(fd, "rb") as pipe:
         while _read_exactly(pipe, head):
             rep, rows = head.tolist()
             columns = [np.empty(rows, dtype=dtype) for dtype in _COLUMNS]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import SystemConfig
+from .allocator import SystemConfig, integer_at_least, require
 
 # points solved together. At N=1000, Gamma=100 a block's logw is 125 KiB, its
 # other temporaries at most Gamma+1 wide (12 KiB); the 1000-point sweep peaks
@@ -39,6 +39,10 @@ class BlockingReport:
 
 def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
     """The checked grid, and log((k+1)*mu) for k = 0..N-1."""
+    # a bool in a list becomes an int in the array; an int array holds none
+    if not isinstance(limits, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(limits, dtype=object).flat):
+        raise ValueError(f"limits must be integers, got a bool in {limits!r}")
     limits, rates = np.asarray(limits), np.asarray(rates, dtype=float)
     if limits.dtype.kind not in "iu":
         raise ValueError(f"limits must be integers, got dtype {limits.dtype}")
@@ -141,8 +145,7 @@ def blocking_probabilities(config: SystemConfig, limits, rates) -> BlockingRepor
 def erlang_b(servers: int, offered):
     """Erlang-B blocking via the standard recurrence, for one offered load
     (returns a float) or an array of them (returns an array)."""
-    if servers < 0:
-        raise ValueError(f"servers must be >= 0, got {servers}")
+    require("servers", servers, **integer_at_least(0))
     loads = np.asarray(offered, dtype=float)
     if not (np.isfinite(loads) & (loads >= 0)).all():
         raise ValueError(f"offered load must be finite and >= 0, got {offered}")

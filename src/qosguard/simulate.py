@@ -201,7 +201,7 @@ def _estimated_access(cls, own, latest, ready, rates, gamma):
         ready = bool(nan_free[-1])
         warm = int(nan_free.argmax()) if ready else size
         columns[:, :warm] = np.array(rates)[:, None]
-    y = np.array(floor_rule(m_count, gamma, np.floor)(*columns), dtype=np.intp)
+    y = np.array(floor_rule(m_count, gamma)(*columns), dtype=np.intp)
     return y, columns, latest, ready
 
 
@@ -360,7 +360,7 @@ def run_simulation(
     approximation: each window's running sums over a chunk are one
     ``cumsum`` of the same adds and subtracts in the same order
     (``ArrivalWindow.record_arrivals``), and the allocator's floor rule
-    runs the same float operations on columns as on one vector.
+    gives each row of its columns the floors of that row's vector alone.
 
     The loop (``_admit``) only admits and notes the blocked rows. After
     each block, a class's measured arrivals are counted from the class

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .allocator import integer_at_least, require
+
 
 class ArrivalWindow:
     """Sliding window over the most recent inter-arrival gaps of one class.
@@ -27,8 +29,7 @@ class ArrivalWindow:
     _RESYNC_EVERY = 4096  # periodic exact re-sum to cap float drift
 
     def __init__(self, class_index: int, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {capacity}")
+        require("capacity", capacity, **integer_at_least(1))
         self.class_index = class_index
         self.capacity = capacity
         self.gaps = np.empty(0)            # the window's gaps, oldest first

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .allocator import checked, field_errors
 
-# (band index, low nm, high nm); bands tile 380..780 with shared boundaries,
-# a boundary wavelength resolves to the lower-indexed band
+# (band index, low nm, high nm); the bands tile 380..780, and each band's
+# high edge is the next band's low edge
 BAND_PLAN = (
     (1, 380, 450),
     (2, 450, 510),
@@ -98,43 +98,18 @@ def received_power(transmit_power: float, gain: float) -> float:
     return gain * transmit_power
 
 
-def _validate_mask(mask: str) -> str:
+def decode_band_mask(mask: str) -> set[int]:
+    """Band indices selected by a 7-bit mask; band 1 is the leftmost bit."""
     if len(mask) != NUM_BANDS or any(c not in "01" for c in mask):
         raise ValueError(f"band mask must be 7 bits of 0/1, got {mask!r}")
     if mask == "0000000":
         raise ValueError("band mask 0000000 is not a valid channel")
-    return mask
-
-
-def decode_band_mask(mask: str) -> set[int]:
-    """Band indices selected by a 7-bit mask; band 1 is the leftmost bit."""
-    _validate_mask(mask)
     return {i + 1 for i, c in enumerate(mask) if c == "1"}
-
-
-def encode_band_mask(bands) -> str:
-    """7-bit mask selecting the given band indices."""
-    bands = set(bands)
-    if not bands:
-        raise ValueError("at least one band must be selected")
-    if not bands <= set(range(1, NUM_BANDS + 1)):
-        raise ValueError(f"band indices must be within 1..{NUM_BANDS}, got {sorted(bands)}")
-    return "".join("1" if i in bands else "0" for i in range(1, NUM_BANDS + 1))
 
 
 def enumerate_masks() -> list[str]:
     """All 127 valid band masks, ascending as binary numbers."""
     return [format(v, "07b") for v in range(1, 2**NUM_BANDS)]
-
-
-def band_for_wavelength(nm: float) -> int:
-    """Index of the color band containing a wavelength in nm."""
-    if not BAND_PLAN[0][1] <= nm <= BAND_PLAN[-1][2]:
-        raise ValueError(f"wavelength {nm} nm outside the visible plan 380..780")
-    for index, low, high in BAND_PLAN:
-        if nm <= high:
-            return index
-    raise AssertionError("unreachable: plan tiles the spectrum")
 
 
 def band_widths() -> tuple[int, ...]:

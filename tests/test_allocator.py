@@ -6,8 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
-from qosguard import cli
-from qosguard.allocator import FieldError, SystemConfig, compute_partition, floor_rule
+from qosguard.allocator import FieldError, SystemConfig, compute_partition, floor_rule, partitions
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -61,9 +60,9 @@ class TestGuardFloors:
         vector = st.lists(st.floats(min_value=0.0, max_value=100.0),
                           min_size=m_count, max_size=m_count).filter(lambda v: sum(v) > 1e-6)
         rows = data.draw(st.lists(vector, min_size=1, max_size=20))
-        columns = floor_rule(m_count, gamma, np.floor)(*np.array(rows).T)
+        columns = floor_rule(m_count, gamma)(*np.array(rows).T)
         got = [tuple(row) for row in np.array(columns).T.astype(int).tolist()]
-        assert got == [floor_rule(m_count, gamma)(*row) for row in rows]
+        assert got == [guard_floors_reference(row, gamma) for row in rows]
 
     # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
     # integer sum(k[i:]), the case where floats land a few ulps low
@@ -82,21 +81,24 @@ class TestGuardFloors:
 
 
 class TestSweepPartitions:
-    # the CLI runs the floor rule on the columns of a whole sweep grid;
-    # row by row it must give compute_partition's guard access and limits
+    # partitions runs the floor rule on the columns of a whole grid; row by
+    # row it must give the reference's floors, and an all-zero row those of
+    # an all-ones row (the equal split), with limits y_m + N - Gamma
     @staticmethod
     def check(rows, gamma):
         config = SystemConfig(max(2 * gamma, 1), gamma, 1.0, 10)
-        access, limits = cli._partitions(config, np.array(rows, dtype=float))
-        expected = [compute_partition(config, row) for row in rows]
+        access, limits = partitions(config, np.array(rows, dtype=float))
+        expected = [list(guard_floors_reference(row if any(row) else [1.0] * len(row), gamma))
+                    for row in rows]
         assert access.dtype.kind == limits.dtype.kind == "i"
-        assert access.tolist() == [list(p.guard_access) for p in expected]
-        assert limits.tolist() == [list(p.limits) for p in expected]
+        assert access.tolist() == expected
+        unreserved = config.n_channels - gamma
+        assert limits.tolist() == [[y + unreserved for y in row] for row in expected]
 
     # rate-0 classes, all-zero rows, subnormals and rates far from 1
     @given(m_count=st.integers(min_value=1, max_value=6), data=st.data(),
            gamma=st.integers(min_value=0, max_value=200))
-    def test_matches_compute_partition(self, m_count, data, gamma):
+    def test_matches_reference(self, m_count, data, gamma):
         rate = st.just(0.0) | st.floats(min_value=0.0, max_value=100.0) | st.floats(
             min_value=0.0, max_value=1e150)
         row = st.lists(rate, min_size=m_count, max_size=m_count)

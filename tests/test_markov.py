@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qosguard import markov
-from qosguard.allocator import SystemConfig, compute_partition
+from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import _BLOCK_ROWS, blocking_probabilities, erlang_b, steady_state
 
 from oracles import (
@@ -179,6 +179,15 @@ class TestBlockingProbabilities:
             with pytest.raises(ValueError, match="limits must be integers"):
                 solve(cfg, limits, [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("limits", [[[True, 4]], [[np.True_, 4]], [(4, False)]],
+                             ids=["True", "np.True_", "False"])
+    def test_bool_limit_rejected(self, limits):
+        # np.asarray([[True, 4]]) is the int array [[1, 4]]: the chain of limit 1
+        cfg = SystemConfig(4, 1, 1.0, 10)
+        for solve in (steady_state, blocking_probabilities):
+            with pytest.raises(ValueError, match="limits must be integers"):
+                solve(cfg, limits, [[1.0, 1.0]])
+
     @pytest.mark.parametrize("rates", [[1.0, 2.0], 3.0, [[[1.0]]]], ids=["1-D", "0-D", "3-D"])
     def test_total_rate_needs_a_grid(self, rates):
         # a 1-D vector read as a grid gave [3., 3.], one total per entry
@@ -262,6 +271,12 @@ class TestErlangB:
 
     def test_scalar_load_returns_float(self):
         assert type(erlang_b(50, 40.0)) is float
+
+    @pytest.mark.parametrize("servers", [True, 2.5, -1])
+    def test_non_integer_servers_rejected(self, servers):
+        # True gave the blocking of 1 server and 2.5 a bare TypeError
+        with pytest.raises(FieldError, match=r"^servers: must be an integer >= 0, got "):
+            erlang_b(servers, 1.0)
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ArrivalWindowReference
+from qosguard.allocator import FieldError
 from qosguard.traffic import ArrivalWindow
 
 
@@ -61,6 +62,12 @@ class TestArrivalWindow:
         for t in [0.0, 1.0, 4.0]:
             w.record_arrival(t)
         assert w.estimate_rate() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("capacity", [True, 2.5, 0])
+    def test_non_integer_capacity_rejected(self, capacity):
+        # True and 2.5 made a window; a bool is not an integer anywhere else
+        with pytest.raises(FieldError, match=r"^capacity: must be an integer >= 1, got "):
+            ArrivalWindow(1, capacity)
 
     def test_empty_window_unavailable(self):
         w = ArrivalWindow(1, capacity=10)

@@ -6,11 +6,9 @@ from qosguard.allocator import FieldError
 from qosguard.vlc import (
     BAND_PLAN,
     OpticalLinkParams,
-    band_for_wavelength,
     band_widths,
     concentrator_gain,
     decode_band_mask,
-    encode_band_mask,
     enumerate_masks,
     lambertian_order,
     los_channel_gain,
@@ -145,26 +143,8 @@ class TestBandMasks:
         assert "1111111" in masks
         assert "0000000" not in masks
 
-    def test_decode_encode_roundtrip(self):
-        for mask in enumerate_masks():
-            assert encode_band_mask(decode_band_mask(mask)) == mask
-
 
 class TestBandPlan:
-    def test_known_wavelengths(self):
-        assert band_for_wavelength(400) == 1
-        assert band_for_wavelength(779) == 7
-
-    def test_boundary_goes_to_lower_band(self):
-        assert band_for_wavelength(450) == 1
-        assert band_for_wavelength(710) == 6
-
-    def test_out_of_spectrum(self):
-        with pytest.raises(ValueError):
-            band_for_wavelength(379)
-        with pytest.raises(ValueError):
-            band_for_wavelength(781)
-
     def test_plan_tiles_spectrum(self):
         assert sum(band_widths()) == 400
         for (_, _, hi), (_, lo, _) in zip(BAND_PLAN, BAND_PLAN[1:]):
