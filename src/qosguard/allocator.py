@@ -6,10 +6,10 @@ floor of the suffix sum of shares from its own class down to the lowest
 priority. Class 1 can always reach all N channels. A class-m call is
 admitted iff the occupancy is below its limit N_m.
 
-The floor rule y_m = floor(X_m + ... + X_M) is one function on numpy
-columns, one row per rate vector: per arrival in the simulator's dynamic
-policy, per grid point in ``partitions`` and for one vector in
-``compute_partition``. ``partitions`` gives an all-zero row the equal split.
+The floor rule y_m = floor(X_m + ... + X_M) is one function,
+``partitions``, on a grid with one row per rate vector: per arrival in the
+simulator's dynamic policy, per grid point in the analyzer and for one
+vector in ``compute_partition``. An all-zero row gets the equal split.
 
 Every parameter type of the package declares each check on its field with
 ``checked``; ``field_errors`` runs them, and a failure is a ``FieldError``
@@ -60,8 +60,8 @@ def finite_non_negative(values) -> bool:
     return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
 
 
-RATE_VECTOR = dict(check=finite_non_negative,
-                   rule="entries must be finite and >= 0 with a finite sum")
+RATE_VECTOR = dict(check=lambda v: len(v) > 0 and finite_non_negative(v),
+                   rule="must be one or more entries, finite and >= 0 with a finite sum")
 
 
 def _passes(check, value) -> bool:
@@ -119,36 +119,20 @@ class ChannelPartition:
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
 
 
-def floor_rule(m_count: int, gamma: int):
-    """The function ``(r_1, ..., r_M) -> (y_1, ..., y_M)`` for ``m_count``
-    classes and a guard pool of ``gamma`` channels, on numpy columns: each
-    r_m holds class m's rate of every row, and each y_m is a float column.
-
-    It computes total = r_1 + ... + r_M, X_m = r_m / total * gamma and
-    y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to right: the
-    same float operations in the same order as a loop over the shares.
-    Does no validation: the rates must be finite and non-negative with a
-    positive sum. ``partitions`` replaces all-zero rows first; the
-    simulator's window estimates satisfy this by construction.
-    """
-    if m_count < 1:
-        raise ValueError(f"need at least one class, got {m_count}")
-
-    def rule(*rates):
-        total = reduce(add, rates)
-        shares = [r / total * gamma for r in rates]
-        return tuple(np.floor(reduce(add, shares[m:]) + _FLOOR_SNAP) for m in range(m_count))
-
-    return rule
-
-
 def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
     """Guard access y_m and limit N_m = y_m + N - Gamma of every row of a
     P x M rate grid, as two P x M int arrays; an all-zero row gets the equal
-    split. Every entry must be finite and >= 0 with a finite row sum: the
-    CLI's grids are checked by ``parse_config``."""
-    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0)
-    access = np.array(floor_rule(rates.shape[1], config.guard)(*rates.T), dtype=int).T
+    split. On the grid's columns r_1, ..., r_M it computes total = r_1 + ...
+    + r_M, X_m = r_m / total * Gamma and y_m = floor(X_m + ... + X_M +
+    _FLOOR_SNAP), every sum left to right: the same float operations in the
+    same order as a loop over one row's shares. Every entry must be finite
+    and >= 0 with a finite row sum: ``parse_config`` checks the CLI's grids,
+    and the simulator's window estimates are by construction."""
+    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0).T
+    total = reduce(add, rates)
+    shares = [r / total * config.guard for r in rates]
+    access = np.array([np.floor(reduce(add, shares[m:]) + _FLOOR_SNAP)
+                       for m in range(len(shares))], dtype=int).T
     return access, access + (config.n_channels - config.guard)
 
 

@@ -11,6 +11,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -51,17 +52,18 @@ def _write_csv(path: Path, header, rows) -> None:
             _write_rows(fh.write, row_format, chain((first,), rows))
 
 
-def _event_sink(fh, rep: int, m_count: int):
-    """Write each event batch of replication ``rep`` to ``fh`` as
-    ``_write_csv`` would: ``.9g`` times and every other field by ``str``.
-    A batch is ``run_simulation``'s three columns; the kind, class and
-    decision fields come from a table of their text by event code, and
-    each block of up to ``_ROW_BLOCK`` rows is one ``%`` operation."""
+def _event_sink(fh, m_count: int):
+    """The function ``write(rep, time, code, occupied)`` that writes each
+    event batch of replication ``rep`` to ``fh`` as ``_write_csv`` would:
+    ``.9g`` times and every other field by ``str``. A batch is
+    ``run_simulation``'s three columns; the kind, class and decision fields
+    come from a table of their text by event code, built once, and each
+    block of up to ``_ROW_BLOCK`` rows is one ``%`` operation."""
     labels = np.array(["%s,%s,%s" % fields for fields in event_fields(m_count)],
                       dtype=object)
-    row_format = f"{rep},%.9g,%s,%s\r\n"
 
-    def write(time, code, occupied):
+    def write(rep, time, code, occupied):
+        row_format = f"{rep},%.9g,%s,%s\r\n"
         for start in range(0, len(time), _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
             rows = len(time[block])
@@ -77,25 +79,22 @@ def _event_sink(fh, rep: int, m_count: int):
 @contextmanager
 def _event_log(path: Path, m_count: int):
     """Open ``path``, write the event log's header and yield the function
-    that gives replication ``rep``'s event sink for ``run_simulation``.
-    Where ``os.fork`` exists, each sink sends its batches to a writer
-    process that writes them with ``_event_sink`` while this one simulates
-    (``eventwriter.forked_sinks``); otherwise ``_event_sink`` writes them
+    ``write(rep, time, code, occupied)`` that logs replication ``rep``'s
+    event batch. Where ``os.fork`` exists, it sends the batch to a writer
+    process that writes it with ``_event_sink`` while this one simulates
+    (``eventwriter.forked_writer``); otherwise ``_event_sink`` writes it
     here. The file holds the same bytes either way, and it is opened here,
     so a path that cannot be written fails before any fork."""
     with path.open("w", newline="") as fh:
         fh.write("replication,time,kind,class,decision,occupied_after\r\n")
-
-        def sink_for(rep):
-            return _event_sink(fh, rep, m_count)
-
+        write = _event_sink(fh, m_count)
         if not hasattr(os, "fork"):
-            yield sink_for
+            yield write
             return
         # imported here: a run that writes no events need not load it
-        from .eventwriter import forked_sinks
-        with forked_sinks(fh, sink_for) as send_for:
-            yield send_for
+        from .eventwriter import forked_writer
+        with forked_writer(fh, write) as send:
+            yield send
 
 
 def _analytic_point(spec, rates):
@@ -156,55 +155,50 @@ def _replications(spec: ExperimentSpec, rates) -> list[SimScenario]:
             for rep in range(spec.replications)]
 
 
+def _write_runs(out: Path, key_names, runs) -> None:
+    """Write ``blocking.csv`` and ``utilization.csv`` of ``runs``, pairs of
+    a run's key values and its ``SimMetrics``: each row starts with its
+    run's key values, under the headers ``key_names``."""
+    _write_csv(
+        out / "blocking.csv",
+        [*key_names, "class", "arrivals", "blocks", "empirical_blocking"],
+        chain.from_iterable(
+            _class_rows(key, metrics.per_class_arrivals, metrics.per_class_blocks,
+                        metrics.empirical_blocking)
+            for key, metrics in runs),
+    )
+    _write_csv(out / "utilization.csv", [*key_names, "utilization", "duration"],
+               ((*key, metrics.utilization, metrics.duration) for key, metrics in runs))
+
+
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
     if spec.rates is None:
         raise ConfigError("[traffic] rates required for simulate mode")
     rates = spec.rates
     m_count = len(rates)
-    blocking_rows, util_rows, partition_rows = [], [], []
+    runs = []
     # events go to disk batch by batch as each replication runs
     events = _event_log(out / "events.csv", m_count) if spec.events else nullcontext()
-    with events as sink_for:
+    with events as write:
         for rep, scenario in enumerate(_replications(spec, rates)):
-            sink = sink_for(rep) if sink_for is not None else None
-            metrics = run_simulation(scenario, on_events=sink)
-            blocking_rows += _class_rows((rep,), metrics.per_class_arrivals,
-                                         metrics.per_class_blocks, metrics.empirical_blocking)
-            util_rows.append((rep, metrics.utilization, metrics.duration))
-            partition_rows += [(rep, *rec) for rec in metrics.partition_trace]
-    _write_csv(
-        out / "blocking.csv",
-        ["replication", "class", "arrivals", "blocks", "empirical_blocking"],
-        blocking_rows,
-    )
-    _write_csv(out / "utilization.csv", ["replication", "utilization", "duration"], util_rows)
+            sink = partial(write, rep) if write is not None else None
+            runs.append(((rep,), run_simulation(scenario, on_events=sink)))
+    _write_runs(out, ["replication"], runs)
     _write_csv(
         out / "partition_trace.csv",
         ["replication", "time"] + [f"y_{m}" for m in range(1, m_count + 1)],
-        partition_rows,
+        ((*key, *rec) for key, metrics in runs for rec in metrics.partition_trace),
     )
 
 
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
     if spec.rates is None:
         raise ConfigError("[traffic] rates required for compare mode")
-    blocking_rows, util_rows = [], []
-    for rep, scenario in enumerate(_replications(spec, spec.rates)):
-        # compare_policies returns the runs in the order of POLICIES
-        for policy, metrics in zip(POLICIES, compare_policies(scenario)):
-            blocking_rows += _class_rows((rep, policy), metrics.per_class_arrivals,
-                                         metrics.per_class_blocks, metrics.empirical_blocking)
-            util_rows.append((rep, policy, metrics.utilization, metrics.duration))
-    _write_csv(
-        out / "blocking.csv",
-        ["replication", "policy", "class", "arrivals", "blocks", "empirical_blocking"],
-        blocking_rows,
-    )
-    _write_csv(
-        out / "utilization.csv",
-        ["replication", "policy", "utilization", "duration"],
-        util_rows,
-    )
+    # compare_policies returns the runs in the order of POLICIES
+    runs = [((rep, policy), metrics)
+            for rep, scenario in enumerate(_replications(spec, spec.rates))
+            for policy, metrics in zip(POLICIES, compare_policies(scenario))]
+    _write_runs(out, ["replication", "policy"], runs)
 
 
 def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:

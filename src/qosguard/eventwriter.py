@@ -1,4 +1,4 @@
-"""The event log's writer process: ``forked_sinks`` forks a process that
+"""The event log's writer process: ``forked_writer`` forks a process that
 formats and writes the event batches a run sends it down a pipe, so that
 on a machine with two cores the writing overlaps the run.
 
@@ -50,11 +50,11 @@ def _read_exactly(pipe, buffer) -> bool:
     return True
 
 
-def _write_batches(fd: int, sink_for) -> None:
+def _write_batches(fd: int, write) -> None:
     """The writer process's work: read each event batch from pipe ``fd``,
-    buffered, into arrays sized by the batch and pass it to ``sink_for(rep)``,
-    until the pipe's write end is closed; a cut batch raises ``EOFError``."""
-    sinks = {}
+    buffered, into arrays sized by the batch and pass it to
+    ``write(rep, time, code, occupied)``, until the pipe's write end is
+    closed; a cut batch raises ``EOFError``."""
     head = np.empty(2, dtype=_BATCH_HEAD)
     with open(fd, "rb") as pipe:
         while _read_exactly(pipe, head):
@@ -63,14 +63,12 @@ def _write_batches(fd: int, sink_for) -> None:
             for column in columns:
                 if not _read_exactly(pipe, column):
                     raise EOFError(f"event batch of {rows} rows cut after its head")
-            if rep not in sinks:
-                sinks[rep] = sink_for(rep)
-            sinks[rep](*columns)
+            write(rep, *columns)
 
 
-def _fork_writer(fh, sink_for) -> tuple[int, int, int]:
+def _fork_writer(fh, write) -> tuple[int, int, int]:
     """Fork a process that passes the event batches sent to it to
-    ``sink_for`` (``_write_batches``), then closes ``fh``; return its pid,
+    ``write`` (``_write_batches``), then closes ``fh``; return its pid,
     the write end of the pipe that takes the batches and the read end of
     the one that brings back its error text. The process always ends in
     ``os._exit``: 0 once the batch pipe is closed and ``fh`` is written,
@@ -88,7 +86,7 @@ def _fork_writer(fh, sink_for) -> tuple[int, int, int]:
         try:
             os.close(batches_w)
             os.close(errors_r)
-            _write_batches(batches_r, sink_for)
+            _write_batches(batches_r, write)
             fh.close()
             status = 0
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
@@ -101,23 +99,23 @@ def _fork_writer(fh, sink_for) -> tuple[int, int, int]:
 
 
 @contextmanager
-def forked_sinks(fh, sink_for):
+def forked_writer(fh, write):
     """Fork a writer process that gives each event batch sent to it to
-    ``sink_for(rep)``, the sink of replication ``rep`` that writes to the
-    open file ``fh``, then close this process's copy of ``fh``. Yields the
-    function that gives replication ``rep``'s sink in this process, which
-    sends each batch down a pipe, unbuffered.
+    ``write(rep, time, code, occupied)``, which writes replication ``rep``'s
+    batch to the open file ``fh``, then close this process's copy of ``fh``.
+    Yields the function ``send(rep, time, code, occupied)`` of this process,
+    which sends each batch down a pipe, unbuffered.
 
     On leaving, the pipe is closed and the writer waited for on every
     path. A writer that failed, or went away mid-run, raises an
     ``OSError`` that names the file and carries the writer's error text.
     """
     fh.flush()
-    pid, batches, errors = _fork_writer(fh, sink_for)
+    pid, batches, errors = _fork_writer(fh, write)
     broken = False
     try:
         fh.close()          # the writer holds its own copy
-        yield lambda rep: functools.partial(_send_batch, batches, rep)
+        yield functools.partial(_send_batch, batches)
     except BrokenPipeError:
         broken = True       # the writer has gone; its status and text say why
     finally:

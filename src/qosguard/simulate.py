@@ -7,8 +7,8 @@ arrival's limit depends only on the arrival times. The feed
 (``_arrival_batches``) computes the limits with numpy ahead of the loop, a
 block of arrivals at a time, in two stages: the merge stage (``_merge``)
 takes the block from the classes' drawn-ahead arrivals in time order, and
-the limit stage (``_estimated_access``) runs the allocator's floor rule on
-each row's window estimates. The loop only admits calls, with a heap of the
+the limit stage (``_estimated_access``) runs the allocator's ``partitions``
+on each row's window estimates. The loop only admits calls, with a heap of the
 pending departure times, and an ``on_events`` sink gets each block's events
 after it (``run_simulation``). Runs are deterministic for a fixed scenario,
 and both policies can be replayed on the identical random draws for paired
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import (RATE_VECTOR, SystemConfig, checked, compute_partition, field_errors,
-                        floor_rule, integer_at_least)
+                        integer_at_least, partitions)
 from .traffic import ArrivalWindow
 
 POLICY_DYNAMIC = "dynamic"
@@ -71,8 +71,6 @@ class SimScenario:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
-        if not rates:
-            raise ValueError("at least one traffic class is required")
         if errors := field_errors(self):
             raise errors[0]
 
@@ -169,7 +167,7 @@ def _merge(streams, classes, size):
     return times[rows], cls, holds, own
 
 
-def _estimated_access(cls, own, latest, ready, rates, gamma):
+def _estimated_access(cls, own, latest, ready, rates, config):
     """A block's guard floors y (M x rows, int) under the window estimates,
     the estimate vector of each row (M x rows, float) and the state
     (``latest``, ``ready``) to carry into the next block.
@@ -179,7 +177,7 @@ def _estimated_access(cls, own, latest, ready, rates, gamma):
     gap, and 0.0 for a class configured at rate 0, which never arrives. A
     row's vector holds every class's latest estimate at that row. From the
     first row whose vector has no nan the estimator is ``ready``; the rows
-    before it take the configured ``rates``, on which the floor rule gives
+    before it take the configured ``rates``, on which ``partitions`` gives
     ``compute_partition``'s configured partition by the same float operations.
     """
     m_count, size = len(rates), len(cls)
@@ -201,7 +199,7 @@ def _estimated_access(cls, own, latest, ready, rates, gamma):
         ready = bool(nan_free[-1])
         warm = int(nan_free.argmax()) if ready else size
         columns[:, :warm] = np.array(rates)[:, None]
-    y = np.array(floor_rule(m_count, gamma)(*columns), dtype=np.intp)
+    y = partitions(config, columns.T)[0].T
     return y, columns, latest, ready
 
 
@@ -250,7 +248,7 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         at = times[traced].tolist()
         if estimating:
             y, columns, latest, ready = _estimated_access(cls, own, latest, ready, rates,
-                                                          config.guard)
+                                                          config)
             estimator_trace.extend(zip(at, *columns[:, traced].tolist()))
             del columns
         else:
@@ -359,8 +357,8 @@ def run_simulation(
     estimates (``_estimated_access``). The result is exact, not an
     approximation: each window's running sums over a chunk are one
     ``cumsum`` of the same adds and subtracts in the same order
-    (``ArrivalWindow.record_arrivals``), and the allocator's floor rule
-    gives each row of its columns the floors of that row's vector alone.
+    (``ArrivalWindow.record_arrivals``), and the allocator's ``partitions``
+    gives each row of its grid the floors of that row's vector alone.
 
     The loop (``_admit``) only admits and notes the blocked rows. After
     each block, a class's measured arrivals are counted from the class

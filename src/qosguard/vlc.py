@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .allocator import checked, field_errors
+from .allocator import checked, field_errors, require
 
 # (band index, low nm, high nm); the bands tile 380..780, and each band's
 # high edge is the next band's low edge
@@ -28,7 +28,13 @@ NUM_BANDS = 7
 
 
 _POSITIVE = dict(check=lambda v: v > 0, rule="must be > 0")
+_NON_NEGATIVE = dict(check=lambda v: v >= 0, rule="must be >= 0")
 _ANGLE = dict(check=lambda v: 0 <= v <= 90, rule="must be in [0, 90]")
+_HALF_POWER_ANGLE = dict(check=lambda v: 0 < v < 90, rule="must be in (0, 90)")
+_FOV = dict(check=lambda v: 0 < v <= 90, rule="must be in (0, 90]")
+_REFRACTIVE_INDEX = dict(check=lambda v: v >= 1, rule="must be >= 1")
+_MASK = dict(check=lambda v: len(v) == NUM_BANDS and set(v) <= set("01") and "1" in v,
+             rule=f"must be {NUM_BANDS} characters of 0 and 1, not all 0")
 
 
 @dataclass(frozen=True)
@@ -37,18 +43,17 @@ class OpticalLinkParams:
     config section, and the defaults are the worked 2 m link."""
 
     # transmitter half-power angle, degrees
-    half_power_angle: float = checked(60.0, check=lambda v: 0 < v < 90,
-                                      rule="must be in (0, 90)")
+    half_power_angle: float = checked(60.0, **_HALF_POWER_ANGLE)
     detector_area: float = checked(1e-4, **_POSITIVE)    # photo-detector area, m^2
     distance: float = checked(2.0, **_POSITIVE)          # transmitter-receiver distance, m
     irradiance_angle: float = checked(0.0, **_ANGLE)    # degrees
     incidence_angle: float = checked(0.0, **_ANGLE)     # degrees
     # receiver field of view, degrees; the gain is n^2 / sin^2(fov)
-    fov: float = checked(60.0, check=lambda v: 0 < v <= 90, rule="must be in (0, 90]")
+    fov: float = checked(60.0, **_FOV)
     filter_coeff: float = checked(1.0, check=lambda v: 0 <= v <= 1, rule="must be in [0, 1]")
-    refractive_index: float = checked(1.5, check=lambda v: v >= 1, rule="must be >= 1")
+    refractive_index: float = checked(1.5, **_REFRACTIVE_INDEX)
     # transmitted optical power
-    transmit_power: float = checked(1.0, check=lambda v: v >= 0, rule="must be >= 0")
+    transmit_power: float = checked(1.0, **_NON_NEGATIVE)
 
     def __post_init__(self):
         if errors := field_errors(self):
@@ -57,18 +62,16 @@ class OpticalLinkParams:
 
 def lambertian_order(half_power_angle: float) -> float:
     """Lambertian emission order from the half-power angle in degrees."""
-    if not 0 < half_power_angle < 90:
-        raise ValueError(f"half-power angle must be in (0, 90), got {half_power_angle}")
+    require("half_power_angle", half_power_angle, **_HALF_POWER_ANGLE)
     return -math.log(2) / math.log(math.cos(math.radians(half_power_angle)))
 
 
 def concentrator_gain(psi: float, fov: float, refractive_index: float) -> float:
     """Optical concentrator gain; zero outside the field of view. Angles in
     degrees: ``psi`` in [0, 90] and ``fov`` in (0, 90]."""
-    if refractive_index < 1:
-        raise ValueError(f"refractive index must be >= 1, got {refractive_index}")
-    if not (0 <= psi <= 90 and 0 < fov <= 90):
-        raise ValueError(f"angles must be psi in [0, 90] and fov in (0, 90], got {psi}, {fov}")
+    require("psi", psi, **_ANGLE)
+    require("fov", fov, **_FOV)
+    require("refractive_index", refractive_index, **_REFRACTIVE_INDEX)
     if psi > fov:
         return 0.0
     return refractive_index**2 / math.sin(math.radians(fov)) ** 2
@@ -76,6 +79,8 @@ def concentrator_gain(psi: float, fov: float, refractive_index: float) -> float:
 
 def los_channel_gain(params: OpticalLinkParams) -> float:
     """DC channel gain of the line-of-sight link; zero outside the FOV."""
+    require("params", params, check=lambda v: isinstance(v, OpticalLinkParams)
+            and not field_errors(v), rule="must be an OpticalLinkParams that passes its checks")
     tau = lambertian_order(params.half_power_angle)
     g = concentrator_gain(params.incidence_angle, params.fov, params.refractive_index)
     return (
@@ -91,19 +96,14 @@ def los_channel_gain(params: OpticalLinkParams) -> float:
 
 def received_power(transmit_power: float, gain: float) -> float:
     """Received optical power = gain * transmitted power."""
-    if transmit_power < 0:
-        raise ValueError(f"transmit power must be >= 0, got {transmit_power}")
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain}")
+    require("transmit_power", transmit_power, **_NON_NEGATIVE)
+    require("gain", gain, **_NON_NEGATIVE)
     return gain * transmit_power
 
 
 def decode_band_mask(mask: str) -> set[int]:
     """Band indices selected by a 7-bit mask; band 1 is the leftmost bit."""
-    if len(mask) != NUM_BANDS or any(c not in "01" for c in mask):
-        raise ValueError(f"band mask must be 7 bits of 0/1, got {mask!r}")
-    if mask == "0000000":
-        raise ValueError("band mask 0000000 is not a valid channel")
+    require("mask", mask, **_MASK)
     return {i + 1 for i, c in enumerate(mask) if c == "1"}
 
 

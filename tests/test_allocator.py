@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
-from qosguard.allocator import FieldError, SystemConfig, compute_partition, floor_rule, partitions
+from qosguard.allocator import FieldError, SystemConfig, compute_partition, partitions
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -35,51 +35,6 @@ class TestReservedShares:
             reserved_shares((1.0, -0.1), 10)
 
 
-class TestGuardFloors:
-    def test_suffix_floors(self):
-        assert floor_rule(4, 10)(3, 4, 2, 1) == (10, 7, 3, 1)
-
-    def test_floor_applied(self):
-        assert floor_rule(4, 10)(1.0, 1.0, 1.0, 1.0)[1] == 7
-
-    def test_single_class(self):
-        assert floor_rule(1, 10)(1.0) == (10,)
-
-    def test_one_floor_per_class(self):
-        assert len(floor_rule(2, 10)(1.0, 2.0)) == 2
-        assert len(floor_rule(4, 10)(1.0, 2.0, 0.0, 4.0)) == 4
-
-    @given(rates=rate_vectors, gamma=st.integers(min_value=0, max_value=200))
-    def test_matches_reference(self, rates, gamma):
-        assert floor_rule(len(rates), gamma)(*rates) == guard_floors_reference(rates, gamma)
-
-    # the simulator runs the rule on numpy columns, one rate vector per row
-    @given(m_count=st.integers(min_value=1, max_value=6), data=st.data(),
-           gamma=st.integers(min_value=0, max_value=200))
-    def test_columns_match_vectors(self, m_count, data, gamma):
-        vector = st.lists(st.floats(min_value=0.0, max_value=100.0),
-                          min_size=m_count, max_size=m_count).filter(lambda v: sum(v) > 1e-6)
-        rows = data.draw(st.lists(vector, min_size=1, max_size=20))
-        columns = floor_rule(m_count, gamma)(*np.array(rows).T)
-        got = [tuple(row) for row in np.array(columns).T.astype(int).tolist()]
-        assert got == [guard_floors_reference(row, gamma) for row in rows]
-
-    # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
-    # integer sum(k[i:]), the case where floats land a few ulps low
-    @given(ks=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
-           .filter(lambda ks: sum(ks) > 0))
-    @example(ks=[7, 3])
-    @example(ks=[3, 1])          # fails without the snap
-    @example(ks=[1, 2, 3])       # fails without the snap
-    @example(ks=[3, 4, 2, 1])
-    def test_floor_boundaries(self, ks):
-        rates = [k / 10 for k in ks]
-        gamma = sum(ks)
-        exact = tuple(sum(ks[i:]) for i in range(len(ks)))
-        assert floor_rule(len(rates), gamma)(*rates) == exact
-        assert guard_floors_reference(rates, gamma) == exact
-
-
 class TestSweepPartitions:
     # partitions runs the floor rule on the columns of a whole grid; row by
     # row it must give the reference's floors, and an all-zero row those of
@@ -105,18 +60,34 @@ class TestSweepPartitions:
         rows = data.draw(st.lists(row | st.just([0.0] * m_count), min_size=1, max_size=20))
         self.check(rows, gamma)
 
-    # the k/10 vectors of TestGuardFloors.test_floor_boundaries, whose float
-    # suffix sums land on integers, in one grid with an all-zero row
+    # rates k/10 with Gamma = sum(k): every exact suffix sum of shares is the
+    # integer sum(k[i:]), the case where floats land a few ulps low; in one
+    # grid with an all-zero row
     @given(ks=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)
            .filter(lambda ks: sum(ks) > 0))
     @example(ks=[7, 3])
-    @example(ks=[3, 1])
-    @example(ks=[1, 2, 3])
+    @example(ks=[3, 1])          # fails without the snap
+    @example(ks=[1, 2, 3])       # fails without the snap
     @example(ks=[3, 4, 2, 1])
     @example(ks=[5])
     def test_floor_boundaries(self, ks):
         rows = [[k / 10 for k in ks], [0.0] * len(ks), [k / 10 for k in reversed(ks)]]
         self.check(rows, sum(ks))
+        exact = [sum(ks[i:]) for i in range(len(ks))]
+        config = SystemConfig(max(2 * sum(ks), 1), sum(ks), 1.0, 10)
+        assert partitions(config, np.array(rows[:1]))[0].tolist() == [exact]
+
+    def test_explicit_floors(self):
+        config = SystemConfig(20, 10, 1.0, 10)
+        access, _ = partitions(config, np.array([[3, 4, 2, 1], [1.0, 1.0, 1.0, 1.0]]))
+        assert access.tolist() == [[10, 7, 3, 1], [10, 7, 5, 2]]
+        assert partitions(config, np.array([[1.0]]))[0].tolist() == [[10]]
+
+    # one floor per class, whatever the number of classes
+    @pytest.mark.parametrize("row", [[1.0, 2.0], [1.0, 2.0, 0.0, 4.0]])
+    def test_one_floor_per_class(self, row):
+        access, limits = partitions(SystemConfig(20, 10, 1.0, 10), np.array([row, row]))
+        assert access.shape == limits.shape == (2, len(row))
 
 
 class TestComputePartition:
@@ -146,12 +117,12 @@ class TestComputePartition:
         with pytest.raises(ValueError):
             compute_partition(CFG, rates)
 
-    @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308)],
-                             ids=["-0.1", "nan", "1e308+1e308"])
+    @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308), ()],
+                             ids=["-0.1", "nan", "1e308+1e308", "()"])
     def test_bad_rate_is_field_error(self, rates):
         # the package's one rate rule, the one SimScenario declares
-        with pytest.raises(FieldError, match=r"^rates: entries must be finite and >= 0 "
-                                             r"with a finite sum, got \(") as exc:
+        with pytest.raises(FieldError, match=r"^rates: must be one or more entries, finite "
+                                             r"and >= 0 with a finite sum, got \(") as exc:
             compute_partition(CFG, rates)
         assert exc.value.name == "rates"
 

@@ -220,12 +220,13 @@ def writer_failure(tmp_path, capsys, arrivals) -> tuple[pathlib.Path, str]:
 
 @needs_fork
 def test_writer_error_exits_3_with_its_text(tmp_path, monkeypatch, capsys):
-    def failing_sink(fh, rep, m_count):
+    def failing_write(rep, *batch):
         raise RuntimeError("sink failed")
 
-    # the forked writer inherits the patched sink; the run's one batch fits
-    # in the pipe, so only the writer's exit status tells of the failure
-    monkeypatch.setattr(cli, "_event_sink", failing_sink)
+    # the forked writer inherits the write the patched sink returns; the
+    # run's one batch fits in the pipe, so only the writer's exit status
+    # tells of the failure
+    monkeypatch.setattr(cli, "_event_sink", lambda fh, m_count: failing_write)
     _, err = writer_failure(tmp_path, capsys, arrivals=700)
     assert "RuntimeError: sink failed" in err
 
@@ -234,7 +235,7 @@ def test_writer_error_exits_3_with_its_text(tmp_path, monkeypatch, capsys):
 def test_writer_gone_at_first_batch_exits_3(tmp_path, monkeypatch, capsys):
     # the writer exits at its first batch without a word; the run's later
     # batches, far more than the pipe holds, meet a broken pipe
-    monkeypatch.setattr(cli, "_event_sink", lambda fh, rep, m_count: os._exit(5))
+    monkeypatch.setattr(cli, "_event_sink", lambda fh, m_count: lambda *batch: os._exit(5))
     out, err = writer_failure(tmp_path, capsys, arrivals=20_000)
     assert "exit status 5" in err
     assert (out / "events.csv").read_text() == (

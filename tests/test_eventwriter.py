@@ -30,33 +30,26 @@ def sent_bytes(batches) -> bytes:
 
 def read_batches(data: bytes):
     """Run ``_write_batches`` on a pipe that holds ``data`` and whose write
-    end is closed; return what each replication's sink got, and the order
-    in which the sinks were made."""
+    end is closed; return the batches its ``write`` got, in order, each as
+    its replication and its columns."""
     read_end, write_end = os.pipe()
     os.write(write_end, data)     # a few hundred bytes: fits the pipe
     os.close(write_end)
-    got, made = {}, []
+    got = []
 
-    def sink_for(rep):
-        made.append(rep)
-        return lambda *columns: got.setdefault(rep, []).append(
-            [column.tolist() for column in columns])
+    def write(rep, *columns):
+        got.append((rep, *[column.tolist() for column in columns]))
 
-    eventwriter._write_batches(read_end, sink_for)
-    return got, made
+    eventwriter._write_batches(read_end, write)
+    return got
 
 
 def test_clean_end_returns_every_batch():
-    got, made = read_batches(sent_bytes(BATCHES))
-    assert made == [0, 1]
-    expected = {}
-    for rep, *columns in BATCHES:
-        expected.setdefault(rep, []).append([list(column) for column in columns])
-    assert got == expected
+    assert read_batches(sent_bytes(BATCHES)) == BATCHES
 
 
 def test_empty_stream_returns():
-    assert read_batches(b"") == ({}, [])
+    assert read_batches(b"") == []
 
 
 def test_head_cut_raises():

@@ -212,7 +212,7 @@ class TestLimitStage:
     def test_rows_match_compute_partition(self, block):
         config, rates, cls, own, latest, ready, split = block
         y, columns, after, now_ready = simulate._estimated_access(
-            cls, own, latest, ready, rates, config.guard)
+            cls, own, latest, ready, rates, config)
         configured = compute_partition(config, rates).guard_access
         vector = list(latest)
         for row, (m, estimate) in enumerate(zip(cls.tolist(), own.tolist())):
@@ -228,9 +228,9 @@ class TestLimitStage:
 
         # the carried state makes two blocks one
         head = simulate._estimated_access(cls[:split], own[:split], latest, block[5], rates,
-                                          config.guard)
+                                          config)
         tail = simulate._estimated_access(cls[split:], own[split:], head[2], head[3], rates,
-                                          config.guard)
+                                          config)
         assert np.array_equal(np.hstack((head[0], tail[0])), y)
         assert np.array_equal(np.hstack((head[1], tail[1])), columns, equal_nan=True)
         assert np.array_equal(tail[2], after, equal_nan=True)
@@ -584,8 +584,10 @@ class TestScenarioValidation:
                                        (1e308, 1e308)],
                              ids=["()", "-0.5", "inf", "nan", "1e308+1e308"])
     def test_bad_rates_rejected(self, rates):
-        with pytest.raises(ValueError):
+        # one rate rule, the empty vector included
+        with pytest.raises(FieldError, match=r"^rates: must be one or more entries") as exc:
             small_scenario(rates=rates)
+        assert exc.value.name == "rates"
 
     def test_replace_policy_keeps_draws_paired(self):
         sc = small_scenario(arrivals=20_000)

@@ -32,6 +32,50 @@ def test_string_for_float_field_is_field_error():
         OpticalLinkParams(distance="2")
 
 
+def _out_of_range_link():
+    """The worked link with a distance of 0, which its constructor refuses."""
+    params = OpticalLinkParams()
+    object.__setattr__(params, "distance", 0.0)
+    return params
+
+
+# each argument of each public function with a wrong-type value and an
+# out-of-range value: (function, arguments, the argument that is bad)
+BAD_ARGUMENTS = [
+    (lambertian_order, ("60",), "half_power_angle"),
+    (lambertian_order, (None,), "half_power_angle"),
+    (lambertian_order, (90.0,), "half_power_angle"),
+    (lambertian_order, (math.nan,), "half_power_angle"),
+    (concentrator_gain, ("0", 60, 1.5), "psi"),
+    (concentrator_gain, (-1.0, 60, 1.5), "psi"),
+    (concentrator_gain, (0.0, "60", 1.5), "fov"),
+    (concentrator_gain, (0.0, 0.0, 1.5), "fov"),
+    (concentrator_gain, (0.0, 60, None), "refractive_index"),
+    (concentrator_gain, (0.0, 60, 0.9), "refractive_index"),
+    (los_channel_gain, (None,), "params"),
+    pytest.param(los_channel_gain, (_out_of_range_link(),), "params",
+                 id="los_channel_gain(distance=0.0)"),
+    (received_power, (None, 1.0), "transmit_power"),
+    (received_power, (-1.0, 1.0), "transmit_power"),
+    (received_power, (1.0, "1"), "gain"),
+    (received_power, (1.0, -0.5), "gain"),
+    (decode_band_mask, (1010101,), "mask"),
+    (decode_band_mask, (None,), "mask"),
+    (decode_band_mask, ("0000000",), "mask"),
+    (decode_band_mask, ("10000x0",), "mask"),
+    (decode_band_mask, ("10100",), "mask"),
+]
+
+
+@pytest.mark.parametrize("function,args,name", BAD_ARGUMENTS,
+                         ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_bad_argument_is_field_error(function, args, name):
+    # a FieldError is a ValueError; a TypeError must not escape
+    with pytest.raises(FieldError) as exc:
+        function(*args)
+    assert exc.value.name == name
+
+
 class TestLambertianOrder:
     def test_sixty_degrees_is_one(self):
         assert lambertian_order(60.0) == pytest.approx(1.0, abs=1e-12)
@@ -68,7 +112,8 @@ class TestConcentratorGain:
     @pytest.mark.parametrize("psi,fov", [(math.nan, 60.0), (-1.0, 60.0), (91.0, 95.0),
                                          (30.0, math.nan), (0.0, 0.0), (0.0, 91.0)])
     def test_angle_outside_its_range_rejected(self, psi, fov):
-        with pytest.raises(ValueError, match=r"psi in \[0, 90\] and fov in \(0, 90\]"):
+        with pytest.raises(FieldError, match=r"^(psi: must be in \[0, 90\]|fov: must be in "
+                                             r"\(0, 90\]), got "):
             concentrator_gain(psi, fov, 1.5)
 
 
