@@ -139,7 +139,7 @@ def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     """Per-class partition (y_m, N_m) of one rate vector that passes the
     ``RATE_VECTOR`` check: the one-row case of ``partitions``."""
-    rates = tuple(float(r) for r in rates)
     require("rates", rates, **RATE_VECTOR)
+    rates = tuple(float(r) for r in rates)
     access, limits = partitions(config, np.array([rates]))
     return ChannelPartition(tuple(access[0].tolist()), tuple(limits[0].tolist()))

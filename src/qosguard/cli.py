@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
@@ -23,7 +23,7 @@ from .config import ConfigError, ExperimentSpec, parse_config, render_manifest, 
 from .simulate import POLICIES, SimScenario, compare_policies, event_fields, run_simulation
 
 
-# rows per ``%`` operation: the writer holds one block's text at a time
+# rows per ``%`` operation of a CSV table: the writer holds one block's text at a time
 _ROW_BLOCK = 4096
 
 
@@ -56,22 +56,20 @@ def _event_sink(fh, m_count: int):
     """The function ``write(rep, time, code, occupied)`` that writes each
     event batch of replication ``rep`` to ``fh`` as ``_write_csv`` would:
     ``.9g`` times and every other field by ``str``. A batch is
-    ``run_simulation``'s three columns; the kind, class and decision fields
-    come from a table of their text by event code, built once, and each
-    block of up to ``_ROW_BLOCK`` rows is one ``%`` operation."""
+    ``run_simulation``'s three columns, one block of the run: at most
+    ``simulate._BLOCK`` arrivals and the departures logged among them, at
+    most N + ``_BLOCK``. It is formatted whole, with one ``%`` operation;
+    the kind, class and decision fields come from a table of their text by
+    event code, built once."""
     labels = np.array(["%s,%s,%s" % fields for fields in event_fields(m_count)],
                       dtype=object)
 
     def write(rep, time, code, occupied):
-        row_format = f"{rep},%.9g,%s,%s\r\n"
-        for start in range(0, len(time), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            rows = len(time[block])
-            fields = [None] * (3 * rows)
-            fields[0::3] = time[block].tolist()
-            fields[1::3] = labels[code[block]].tolist()
-            fields[2::3] = occupied[block].tolist()
-            fh.write((row_format * rows) % tuple(fields))
+        fields = [None] * (3 * len(time))
+        fields[0::3] = time.tolist()
+        fields[1::3] = labels[code].tolist()
+        fields[2::3] = occupied.tolist()
+        fh.write((f"{rep},%.9g,%s,%s\r\n" * len(time)) % tuple(fields))
 
     return write
 
@@ -149,7 +147,10 @@ def _class_rows(key, *columns):
 def _replications(spec: ExperimentSpec, rates) -> list[SimScenario]:
     """The scenario of each replication at ``rates``: every other
     ``SimScenario`` field taken from the spec by name, and replication r
-    seeded ``spec.seed + r``."""
+    seeded ``spec.seed + r``. A ``ConfigError`` if ``rates`` is None: the
+    config gave no ``[traffic] rates`` to simulate."""
+    if rates is None:
+        raise ConfigError("[traffic] rates required to simulate")
     run = {f.name: getattr(spec, f.name) for f in fields(SimScenario)}
     return [SimScenario(**{**run, "rates": rates, "seed": spec.seed + rep})
             for rep in range(spec.replications)]
@@ -172,15 +173,13 @@ def _write_runs(out: Path, key_names, runs) -> None:
 
 
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
-    if spec.rates is None:
-        raise ConfigError("[traffic] rates required for simulate mode")
-    rates = spec.rates
-    m_count = len(rates)
+    scenarios = _replications(spec, spec.rates)
+    m_count = len(spec.rates)
     runs = []
     # events go to disk batch by batch as each replication runs
     events = _event_log(out / "events.csv", m_count) if spec.events else nullcontext()
     with events as write:
-        for rep, scenario in enumerate(_replications(spec, rates)):
+        for rep, scenario in enumerate(scenarios):
             sink = partial(write, rep) if write is not None else None
             runs.append(((rep,), run_simulation(scenario, on_events=sink)))
     _write_runs(out, ["replication"], runs)
@@ -192,8 +191,6 @@ def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
-    if spec.rates is None:
-        raise ConfigError("[traffic] rates required for compare mode")
     # compare_policies returns the runs in the order of POLICIES
     runs = [((rep, policy), metrics)
             for rep, scenario in enumerate(_replications(spec, spec.rates))
@@ -227,26 +224,15 @@ def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 def _mode_vlc_link(spec: ExperimentSpec, out: Path) -> None:
     p = spec.vlc
-    tau = vlc.lambertian_order(p.half_power_angle)
-    g = vlc.concentrator_gain(p.incidence_angle, p.fov, p.refractive_index)
-    h = vlc.los_channel_gain(p)
-    pr = vlc.received_power(p.transmit_power, h)
-    _write_csv(
-        out / "link_budget.csv",
-        [
-            "half_power_angle", "detector_area", "distance", "irradiance_angle",
-            "incidence_angle", "fov", "filter_coeff", "refractive_index",
-            "lambertian_order", "concentrator_gain", "channel_gain",
-            "transmit_power", "received_power",
-        ],
-        [
-            (
-                p.half_power_angle, p.detector_area, p.distance, p.irradiance_angle,
-                p.incidence_angle, p.fov, p.filter_coeff, p.refractive_index,
-                tau, g, h, p.transmit_power, pr,
-            )
-        ],
-    )
+    # the link's fields, then its derived values, with the two powers last
+    link = asdict(p)
+    link["lambertian_order"] = vlc.lambertian_order(p.half_power_angle)
+    link["concentrator_gain"] = vlc.concentrator_gain(p.incidence_angle, p.fov,
+                                                      p.refractive_index)
+    link["channel_gain"] = vlc.los_channel_gain(p)
+    link["transmit_power"] = link.pop("transmit_power")
+    link["received_power"] = vlc.received_power(p.transmit_power, link["channel_gain"])
+    _write_csv(out / "link_budget.csv", list(link), [tuple(link.values())])
     _write_csv(
         out / "color_bands.csv",
         ["band", "low_nm", "high_nm", "width_nm"],

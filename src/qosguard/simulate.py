@@ -69,10 +69,9 @@ class SimScenario:
     trace_stride: int = checked(1000, **integer_at_least(1))
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        object.__setattr__(self, "rates", rates)
         if errors := field_errors(self):
             raise errors[0]
+        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
 
 @dataclass
@@ -167,17 +166,18 @@ def _merge(streams, classes, size):
     return times[rows], cls, holds, own
 
 
-def _estimated_access(cls, own, latest, ready, rates, config):
+def _estimated_access(cls, own, latest, rates, config):
     """A block's guard floors y (M x rows, int) under the window estimates,
-    the estimate vector of each row (M x rows, float) and the state
-    (``latest``, ``ready``) to carry into the next block.
+    the estimate vector of each row (M x rows, float) and the last row's
+    vector, before any warm row takes the rates: the next block's ``latest``.
 
     ``own`` is each row's estimate of its own class ``cls``, and ``latest``
     each class's estimate before the block: nan until its window holds a
     gap, and 0.0 for a class configured at rate 0, which never arrives. A
     row's vector holds every class's latest estimate at that row. From the
-    first row whose vector has no nan the estimator is ``ready``; the rows
-    before it take the configured ``rates``, on which ``partitions`` gives
+    first row whose vector has no nan the estimator is ready, and so it is
+    for the whole block if ``latest`` has no nan; the rows before it take
+    the configured ``rates``, on which ``partitions`` gives
     ``compute_partition``'s configured partition by the same float operations.
     """
     m_count, size = len(rates), len(cls)
@@ -192,15 +192,14 @@ def _estimated_access(cls, own, latest, ready, rates, config):
     np.maximum.accumulate(source, axis=1, out=source)
     columns = table[source]
     del table, source
-    latest = columns[:, -1].tolist()
-    if not ready:
+    after = columns[:, -1].tolist()
+    if any(map(math.isnan, latest)):
         # a class's estimates are nan until its second arrival, finite from then on
         nan_free = ~np.isnan(columns).any(axis=0)
-        ready = bool(nan_free[-1])
-        warm = int(nan_free.argmax()) if ready else size
+        warm = int(nan_free.argmax()) if nan_free[-1] else size
         columns[:, :warm] = np.array(rates)[:, None]
     y = partitions(config, columns.T)[0].T
-    return y, columns, latest, ready
+    return y, columns, after
 
 
 def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_trace: list):
@@ -237,7 +236,6 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
     ]
     classes = np.array([s.m for s in streams])
     latest = [math.nan if rate > 0 else 0.0 for rate in rates]
-    ready = False
 
     for done in range(0, scenario.arrivals if streams else 0, _BLOCK):
         size = min(_BLOCK, scenario.arrivals - done)
@@ -247,8 +245,7 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         traced = np.arange(-(done + 1) % scenario.trace_stride, size, scenario.trace_stride)
         at = times[traced].tolist()
         if estimating:
-            y, columns, latest, ready = _estimated_access(cls, own, latest, ready, rates,
-                                                          config)
+            y, columns, latest = _estimated_access(cls, own, latest, rates, config)
             estimator_trace.extend(zip(at, *columns[:, traced].tolist()))
             del columns
         else:

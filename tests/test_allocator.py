@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,12 +118,16 @@ class TestComputePartition:
         with pytest.raises(ValueError):
             compute_partition(CFG, rates)
 
-    @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308), ()],
-                             ids=["-0.1", "nan", "1e308+1e308", "()"])
+    @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308), (),
+                                       None, 5, "12", ["a"], (r for r in (1.0, 2.0))],
+                             ids=["-0.1", "nan", "1e308+1e308", "()", "None", "5", "'12'",
+                                  "['a']", "generator"])
     def test_bad_rate_is_field_error(self, rates):
-        # the package's one rate rule, the one SimScenario declares
+        # the package's one rate rule, the one SimScenario declares, checked
+        # on the value as given: a string is not read as its characters
         with pytest.raises(FieldError, match=r"^rates: must be one or more entries, finite "
-                                             r"and >= 0 with a finite sum, got \(") as exc:
+                                             r"and >= 0 with a finite sum, got "
+                                             + re.escape(repr(rates)) + "$") as exc:
             compute_partition(CFG, rates)
         assert exc.value.name == "rates"
 

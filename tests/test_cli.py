@@ -84,6 +84,9 @@ BAD_FIELDS = [
     ("simulate", "", ["--seed", "-1"], "[simulation] seed"),
     ("simulate", "", ["--seed", "x"], "--seed"),
     ("simulate", "", ["--policy", "greedy"], "--policy"),
+    # a simulating mode needs rates; a ratio alone gives none
+    ("simulate", "[traffic]\nratio = 1, 1", [], "[traffic] rates"),
+    ("compare", "[traffic]\nratio = 1, 1", [], "[traffic] rates"),
     ("vlc-link", "[vlc]\nhalf_power_angle = 95", [], "[vlc] half_power_angle"),
     ("vlc-link", "[vlc]\ndetector_area = 0", [], "[vlc] detector_area"),
     ("vlc-link", "[vlc]\ndistance = -2", [], "[vlc] distance"),

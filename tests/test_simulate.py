@@ -171,12 +171,11 @@ class TestDynamicFastPath:
 
 @st.composite
 def limit_stage_blocks(draw):
-    """A block for the limit stage: (config, rates, cls, own, latest, ready,
+    """A block for the limit stage: (config, rates, cls, own, latest,
     split). As in a run, a class's own estimates are nan until some row and
     finite from then on, ``latest`` is nan only for a class still in that
-    prefix and 0.0 for a class configured at rate 0, which never arrives,
-    and ``ready`` may be true only if ``latest`` holds no nan. ``split`` is
-    a row at which to cut the block in two."""
+    prefix and 0.0 for a class configured at rate 0, which never arrives.
+    ``split`` is a row at which to cut the block in two."""
     m_count = draw(st.integers(min_value=1, max_value=4))
     rates = tuple(draw(st.lists(st.just(0.0) | st.floats(min_value=0.05, max_value=50.0),
                                 min_size=m_count, max_size=m_count).filter(any)))
@@ -195,9 +194,8 @@ def limit_stage_blocks(draw):
             rows = [i for i, c in enumerate(cls) if c == m]
             for i in rows[:draw(st.integers(min_value=0, max_value=len(rows)))]:
                 own[i] = math.nan
-    ready = draw(st.booleans()) and not any(math.isnan(v) for v in latest)
     split = draw(st.integers(min_value=1, max_value=len(cls) - 1))
-    return config, rates, np.array(cls), np.array(own), latest, ready, split
+    return config, rates, np.array(cls), np.array(own), latest, split
 
 
 class TestLimitStage:
@@ -208,13 +206,15 @@ class TestLimitStage:
     # the estimator gets ready at row 3, whose estimates (5, 1) give another
     # partition than the configured rates (1, 3)
     @example(block=(SystemConfig(20, 10, 1.0, 10), (1.0, 3.0), np.array([0, 1, 0, 1]),
-                    np.array([math.nan, math.nan, 5.0, 1.0]), [math.nan, math.nan], False, 2))
+                    np.array([math.nan, math.nan, 5.0, 1.0]), [math.nan, math.nan], 2))
     def test_rows_match_compute_partition(self, block):
-        config, rates, cls, own, latest, ready, split = block
-        y, columns, after, now_ready = simulate._estimated_access(
-            cls, own, latest, ready, rates, config)
+        config, rates, cls, own, latest, split = block
+        y, columns, after = simulate._estimated_access(cls, own, latest, rates, config)
         configured = compute_partition(config, rates).guard_access
         vector = list(latest)
+        # ready from the first row whose vector has no nan: the block's first
+        # row if latest has none
+        ready = False
         for row, (m, estimate) in enumerate(zip(cls.tolist(), own.tolist())):
             vector[m] = estimate
             ready = ready or not any(math.isnan(v) for v in vector)
@@ -224,17 +224,13 @@ class TestLimitStage:
             else:
                 assert tuple(y[:, row].tolist()) == configured
         assert np.array_equal(after, vector, equal_nan=True)
-        assert now_ready == ready
 
-        # the carried state makes two blocks one
-        head = simulate._estimated_access(cls[:split], own[:split], latest, block[5], rates,
-                                          config)
-        tail = simulate._estimated_access(cls[split:], own[split:], head[2], head[3], rates,
-                                          config)
+        # the carried latest makes two blocks one
+        head = simulate._estimated_access(cls[:split], own[:split], latest, rates, config)
+        tail = simulate._estimated_access(cls[split:], own[split:], head[2], rates, config)
         assert np.array_equal(np.hstack((head[0], tail[0])), y)
         assert np.array_equal(np.hstack((head[1], tail[1])), columns, equal_nan=True)
         assert np.array_equal(tail[2], after, equal_nan=True)
-        assert tail[3] == now_ready
 
 
 class _QuantisedRng:
@@ -581,10 +577,13 @@ class TestScenarioValidation:
             small_scenario(**{name: value})
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
-                                       (1e308, 1e308)],
-                             ids=["()", "-0.5", "inf", "nan", "1e308+1e308"])
+                                       (1e308, 1e308), None, 5, "12", ["a"],
+                                       (r for r in (1.0, 2.0))],
+                             ids=["()", "-0.5", "inf", "nan", "1e308+1e308", "None", "5",
+                                  "'12'", "['a']", "generator"])
     def test_bad_rates_rejected(self, rates):
-        # one rate rule, the empty vector included
+        # one rate rule, the empty vector included, checked on the value as
+        # given, before it is converted
         with pytest.raises(FieldError, match=r"^rates: must be one or more entries") as exc:
             small_scenario(rates=rates)
         assert exc.value.name == "rates"
