@@ -60,7 +60,9 @@ def finite_non_negative(values) -> bool:
     return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
 
 
-RATE_VECTOR = dict(check=lambda v: len(v) > 0 and finite_non_negative(v),
+# bytes iterate as ints, so b"12" would read as the rates (49.0, 50.0)
+RATE_VECTOR = dict(check=lambda v: not isinstance(v, (bytes, bytearray))
+                   and len(v) > 0 and finite_non_negative(v),
                    rule="must be one or more entries, finite and >= 0 with a finite sum")
 
 

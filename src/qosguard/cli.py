@@ -54,22 +54,20 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _event_sink(fh, m_count: int):
     """The function ``write(rep, time, code, occupied)`` that writes each
-    event batch of replication ``rep`` to ``fh`` as ``_write_csv`` would:
-    ``.9g`` times and every other field by ``str``. A batch is
-    ``run_simulation``'s three columns, one block of the run: at most
-    ``simulate._BLOCK`` arrivals and the departures logged among them, at
-    most N + ``_BLOCK``. It is formatted whole, with one ``%`` operation;
-    the kind, class and decision fields come from a table of their text by
-    event code, built once."""
-    labels = np.array(["%s,%s,%s" % fields for fields in event_fields(m_count)],
-                      dtype=object)
+    event batch of replication ``rep`` to ``fh`` as ``_write_csv`` would, by
+    one ``%`` over a format that joins a text per event, by (code, occupancy)
+    and built once for each occupancy the run reaches, with a ``%.9g`` time."""
+    fields = event_fields(m_count)
+    texts = np.empty((len(fields), 0), dtype=object)
 
     def write(rep, time, code, occupied):
-        fields = [None] * (3 * len(time))
-        fields[0::3] = time.tolist()
-        fields[1::3] = labels[code].tolist()
-        fields[2::3] = occupied.tolist()
-        fh.write((f"{rep},%.9g,%s,%s\r\n" * len(time)) % tuple(fields))
+        nonlocal texts
+        if (reached := int(occupied.max()) + 1) > texts.shape[1]:
+            texts = np.array([[f"%.9g,{kind},{m},{decision},{held}\r\n"
+                               for held in range(max(reached, 2 * texts.shape[1]))]
+                              for kind, m, decision in fields], dtype=object)
+        lines = f"{rep}," + f"{rep},".join(texts[code, occupied].tolist())
+        fh.write(lines % tuple(time.tolist()))
 
     return write
 

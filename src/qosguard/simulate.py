@@ -4,15 +4,14 @@ Per-class Poisson arrivals feed sliding-window rate estimators; a call is
 admitted iff the occupancy is below its class limit, and departures are
 exponential. The estimator sees every arrival, admitted or blocked, so each
 arrival's limit depends only on the arrival times. The feed
-(``_arrival_batches``) computes the limits with numpy ahead of the loop, a
-block of arrivals at a time, in two stages: the merge stage (``_merge``)
-takes the block from the classes' drawn-ahead arrivals in time order, and
-the limit stage (``_estimated_access``) runs the allocator's ``partitions``
-on each row's window estimates. The loop only admits calls, with a heap of the
-pending departure times, and an ``on_events`` sink gets each block's events
-after it (``run_simulation``). Runs are deterministic for a fixed scenario,
-and both policies can be replayed on the identical random draws for paired
-comparison.
+(``_arrival_batches``) computes the limits with numpy, a block of arrivals
+at a time, in two stages: the merge stage (``_merge``) takes the block from
+the classes' drawn-ahead arrivals in time order, and the limit stage
+(``_estimated_access``) runs the allocator's ``partitions`` on each row's
+window estimates. The admission stage (``admission.Admission``) then decides the
+block's calls, orders its events and sums the occupancy integral. Runs are
+deterministic for a fixed scenario, and both policies can be replayed on
+the identical random draws for paired comparison.
 
 ``SimScenario``'s fields are the ``[simulation]`` keys of a config, and
 ``[traffic] rates``: each field's default, check and rule live there once,
@@ -21,10 +20,8 @@ and ``config.ExperimentSpec`` declares its keys from them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
-from itertools import count, islice
 from operator import attrgetter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -33,6 +30,7 @@ import numpy as np
 
 from .allocator import (RATE_VECTOR, SystemConfig, checked, compute_partition, field_errors,
                         integer_at_least, partitions)
+from .admission import Admission
 from .traffic import ArrivalWindow
 
 POLICY_DYNAMIC = "dynamic"
@@ -44,8 +42,8 @@ POLICIES = (POLICY_DYNAMIC, POLICY_SHARING)
 # a cache: arrays of many different smaller sizes fill that cache and raise
 # the memory a run holds.
 _RNG_CHUNK = 256
-# arrivals per block handed to the loop, and per event batch; it does not
-# change the run
+# arrivals per block handed to the admission stage, and per event batch; it
+# does not change the run
 _BLOCK = 1024
 # (kind, decision) of an event by its code modulo 3; the code of an event of
 # class index m is 3 * m plus the kind's position here
@@ -149,7 +147,7 @@ def _merge(streams, classes, size):
         if sum(counts) >= size:
             break
         if horizon == math.inf:
-            # the loop's heap sentinel is inf; a rate this small has no run
+            # the arrivals still needed lie at inf, where drawing on never reaches
             raise ValueError("arrival times overflow to inf: a positive rate is below "
                              "the smallest whose mean gap 1/rate is finite")
         low.refill()
@@ -205,11 +203,11 @@ def _estimated_access(cls, own, latest, rates, config):
 def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_trace: list):
     """Yield the run's ``scenario.arrivals`` arrivals in time order, ties by
     class index, in blocks of ``_BLOCK`` rows, and append the traced rows
-    to the two trace lists. A block is four columns: the arrival times, the
-    class indices m and the departure times should the calls be admitted,
-    as numpy arrays, and the limits of their classes, a list. A departure
-    time is the arrival time plus the holding time, one numpy add per
-    block: the same float add as adding them when the call is admitted.
+    to the two trace lists. A block is four numpy columns: the arrival
+    times, the class indices m, the departure times should the calls be
+    admitted and the limits of their classes. A departure time is the
+    arrival time plus the holding time, one numpy add per block: the same
+    float add as adding them when the call is admitted.
 
     The merge stage takes each block from the classes' streams
     (``_ClassStream``). Under the dynamic policy with the window estimator
@@ -251,7 +249,7 @@ def _arrival_batches(scenario: SimScenario, partition_trace: list, estimator_tra
         else:
             y = np.broadcast_to(configured, (m_count, size))
         partition_trace.extend(zip(at, *y[:, traced].tolist()))
-        block = times, cls, times + holds, (y[cls, np.arange(size)] + unreserved).tolist()
+        block = times, cls, times + holds, y[cls, np.arange(size)] + unreserved
         # no array of a block outlives its yield but the ones handed out
         del times, cls, holds, own, y, traced
         yield block
@@ -265,147 +263,54 @@ def event_fields(m_count: int) -> list[tuple[str, int, str]]:
             for m in range(m_count) for kind, decision in _EVENT_KINDS]
 
 
-def _admit(rows, departures, occupied, area, last_t, blocked):
-    """Run the admission loop over ``rows`` of (row, time, departure time,
-    limit) and return the new (occupied, area, last_t).
-
-    ``departures`` is a heap of the pending departure times over an ``inf``
-    sentinel. Before an arrival at time t, every departure at a time <= t
-    frees its channel; tied departures add ``occupied * 0.0`` to the area,
-    so their order does not matter. ``area`` gains the occupancy times each
-    interval, and each blocked row's index is appended to ``blocked``.
-    """
-    push, pop = heapq.heappush, heapq.heappop
-    for row, t, departure, limit in rows:
-        while departures[0] <= t:
-            dt = pop(departures)
-            area += occupied * (dt - last_t)
-            last_t = dt
-            occupied -= 1
-        area += occupied * (t - last_t)
-        last_t = t
-        if occupied < limit:
-            occupied += 1
-            push(departures, departure)
-        else:
-            blocked.append(row)
-    return occupied, area, last_t
-
-
-def _block_events(times, cls, departs, blocked, pending, occupied):
-    """The events of one admitted block, in the order the loop met them, as
-    three columns: the event times, their codes (``event_fields``) and the
-    occupancy after each event; and the departures still pending after it.
-
-    ``times``, ``cls`` and ``departs`` are the block's columns, ``blocked``
-    its blocked rows in order and ``occupied`` the occupancy before it.
-    ``pending`` holds the departure times and class indices of the admitted
-    calls not yet logged as departed. The loop's heap pops a departure
-    admitted at row j with time dt just before the first row i >= j + 1
-    whose time is >= dt, its slot; departures that share a slot leave by
-    (dt, class), the order of a heap of (dt, class) entries. A departure
-    whose slot is past the block's last row is carried in the pending
-    departures to the next block, where its slot is found again.
-    """
-    size = len(times)
-    carried = len(pending[0])
-    refused = np.zeros(size, dtype=bool)
-    refused[blocked] = True
-    rows = np.flatnonzero(~refused)
-    dt = np.concatenate((pending[0], departs[rows]))
-    dm = np.concatenate((pending[1], cls[rows]))
-    slot = times.searchsorted(dt, "left")
-    np.maximum(slot[carried:], rows + 1, out=slot[carried:])
-    order = np.lexsort((dm, dt, slot))
-    slot, dt, dm = slot[order], dt[order], dm[order]
-    gone = int(slot.searchsorted(size))   # the departures logged in this block
-    # each departure follows the arrivals before its slot, and each arrival
-    # the departures at or before its row
-    at_departure = slot[:gone] + np.arange(gone)
-    is_arrival = np.ones(size + gone, dtype=bool)
-    is_arrival[at_departure] = False
-    time = np.empty(size + gone)
-    time[is_arrival] = times
-    time[at_departure] = dt[:gone]
-    code = np.empty(size + gone, dtype=np.intp)
-    code[is_arrival] = 3 * cls + refused
-    code[at_departure] = 3 * dm[:gone] + 2
-    after = np.empty(size + gone, dtype=np.intp)     # +1 per accept, -1 per release
-    after[is_arrival] = ~refused
-    after[at_departure] = -1
-    after[0] += occupied
-    after.cumsum(out=after)
-    return (time, code, after), (dt[gone:], dm[gone:])
-
-
 def run_simulation(
     scenario: SimScenario, on_events: Callable[..., None] | None = None
 ) -> SimMetrics:
     """Simulate the closed admission loop for ``scenario``.
 
     The arrivals come in time order in blocks (``_arrival_batches``), each
-    row with its departure time and its class limit; a heap holds only the
-    pending departures, and each block is dropped before the next is built.
-    Before an arrival at time t, every departure at a time <= t is
-    processed, so a departure frees its channel before an arrival at the
-    same time is tested, and arrivals at the same time go by class index.
+    row with its departure time and its class limit, and the admission
+    stage (``admission.Admission``) decides each block; a run holds one block at a
+    time. Before an arrival at time t every departure at a time <= t frees
+    its channel, and arrivals at the same time go by class index. The
+    result is exact, not an approximation: the window sums, the floor rule
+    and the occupancy integral run the float operations of a loop that
+    takes one arrival at a time, in its order.
 
-    Under the dynamic policy the guard partition follows the window
-    estimates (``_estimated_access``). The result is exact, not an
-    approximation: each window's running sums over a chunk are one
-    ``cumsum`` of the same adds and subtracts in the same order
-    (``ArrivalWindow.record_arrivals``), and the allocator's ``partitions``
-    gives each row of its grid the floors of that row's vector alone.
+    The first ``int(warmup * arrivals)`` arrivals are not measured: the
+    measured interval starts at the next arrival's time, just after which
+    the area restarts at 0.0 (at 0.0 without a warm-up). A class's measured
+    arrivals are counted from the class column and its blocks from the
+    blocked rows.
 
-    The loop (``_admit``) only admits and notes the blocked rows. After
-    each block, a class's measured arrivals are counted from the class
-    column and its blocks from the blocked rows. The first
-    ``int(warmup * arrivals)`` arrivals are not measured: the block that
-    holds the first measured arrival is split after it, where the area
-    restarts at 0.0 and the measured interval starts at its time. The
-    area then sums the same terms in the same order as a loop that starts
-    adding there. Without a warm-up, the measured interval starts at 0.0.
-
-    When ``on_events`` is given, each block's events are built after the
-    loop has admitted it (``_block_events``) and passed to ``on_events`` as
-    one batch of three numpy columns: the event times (float), the event
-    codes and the occupancy after each event (int); ``event_fields`` gives
-    the fields of each code. A block's batch holds its arrivals and the
-    departures logged before each of them; the calls still pending when the
-    run ends log nothing. The batches concatenate to the run's whole event
-    log in order, and the run keeps no batch it has passed on. Without a
-    sink no event is built.
+    When ``on_events`` is given, it gets each block's events as one batch
+    of three numpy columns: the event times (float), the event codes
+    (``event_fields`` gives their fields) and the occupancy after each
+    event (int). A batch holds its block's arrivals and the departures
+    logged before each of them; the calls still pending when the run ends
+    log nothing. The batches concatenate to the run's whole event log in
+    order, and the run keeps no batch it has passed on. Without a sink no
+    event code is built.
     """
-    n = scenario.config.n_channels
     m_count = len(scenario.rates)
     partition_trace: list = []
     estimator_trace: list = []
     feed = _arrival_batches(scenario, partition_trace, estimator_trace)
-
-    pending = (np.empty(0), np.empty(0, dtype=np.intp))
-    departures = [math.inf]
+    stage = Admission(scenario.config.n_channels, m_count, _BLOCK)
 
     warmup_count = int(scenario.warmup * scenario.arrivals)
-    occupied = 0
     arr_counts = np.zeros(m_count, dtype=np.int64)
     block_counts = [0] * m_count
     measure_start = 0.0
-    area = 0.0          # integral of occupancy, over the measured interval once it starts
-    last_t = 0.0
-    blocked: list[int] = []
     done = 0
 
     for times, cls, departs, limits in feed:
         size = len(times)
-        classes = cls.tolist()
-        rows = zip(count(), times.tolist(), departs.tolist(), limits)
-        before = occupied
         first = warmup_count - done      # the block row of the first measured arrival
-        if warmup_count and 0 <= first < size:
-            occupied, area, last_t = _admit(
-                islice(rows, first + 1), departures, occupied, area, last_t, blocked)
-            area, measure_start = 0.0, float(times[first])
-        occupied, area, last_t = _admit(rows, departures, occupied, area, last_t, blocked)
+        warm = first if warmup_count and 0 <= first < size else -1
+        blocked = stage.admit(times, cls, departs, limits, warm, on_events)
+        if warm >= 0:
+            measure_start = float(times[warm])
         start = max(first, 0)            # the first measured row of the block
         if start < size:
             arr_counts += np.bincount(cls[start:], minlength=m_count)
@@ -413,19 +318,15 @@ def run_simulation(
             # a small array of a new size per block, and numpy keeps such
             # blocks in its cache, which raises the memory a run holds
             for row in blocked[bisect_left(blocked, start):]:
-                block_counts[classes[row]] += 1
-        if on_events is not None:
-            batch, pending = _block_events(times, cls, departs, blocked, pending, before)
-            on_events(*batch)
-            del batch
-        blocked.clear()
+                block_counts[cls[row]] += 1
         done += size
-        del times, cls, departs, limits, classes, rows
+        del times, cls, departs, limits
 
-    duration = max(last_t - measure_start, 0.0)
+    duration = max(stage.last_t - measure_start, 0.0)
     arrived, blocks = arr_counts.tolist(), block_counts
     blocking = tuple(b / a if a else 0.0 for a, b in zip(arrived, blocks))
-    utilization = area / (duration * n) if duration > 0 else 0.0
+    utilization = (stage.area / (duration * scenario.config.n_channels)
+                   if duration > 0 else 0.0)
     return SimMetrics(
         per_class_arrivals=tuple(arrived),
         per_class_blocks=tuple(blocks),

@@ -12,11 +12,14 @@ The reference simulator is the plain event loop: one heap of every event,
 one draw per scheduled arrival, the window estimator one arrival at a time
 (``ArrivalWindowReference``, the running sum updated gap by gap) and a full
 ``compute_partition`` on every arrival; ``EventLog`` expands a run's
-event batches into the reference loop's event tuples. The point solver is
-the analyzer as it ran before it took a grid: one point at a time, the
-Erlang-B recurrence a Python loop over floats. The full-width solver is the
-grid solver as it ran before it narrowed to the guard band: every row
-binned, suffix-summed and logged over all N+1 states. ``manifest_to_ini``
+event batches into the reference loop's event tuples. ``admit_reference``
+and ``block_events_reference`` are the simulator's admission loop (a heap
+of the pending departure times) and its numpy rebuild of a block's events,
+as they ran before the per-block admission stage replaced them. The point
+solver is the analyzer as it ran before it took a grid: one point at a
+time, the Erlang-B recurrence a Python loop over floats. The full-width
+solver is the grid solver as it ran before it narrowed to the guard band:
+every row binned, suffix-summed and logged over all N+1 states. ``manifest_to_ini``
 turns a manifest back into the config text it records, line by line.
 """
 
@@ -307,6 +310,79 @@ def run_logged(scenario) -> SimMetrics:
     metrics = run_simulation(scenario, on_events=log)
     metrics.events = log.events
     return metrics
+
+
+def admit_reference(rows, departures, occupied, area, last_t, blocked):
+    """Run the admission loop over ``rows`` of (row, time, departure time,
+    limit) and return the new (occupied, area, last_t).
+
+    ``departures`` is a heap of the pending departure times over an ``inf``
+    sentinel. Before an arrival at time t, every departure at a time <= t
+    frees its channel; tied departures add ``occupied * 0.0`` to the area,
+    so their order does not matter. ``area`` gains the occupancy times each
+    interval, and each blocked row's index is appended to ``blocked``.
+    """
+    push, pop = heapq.heappush, heapq.heappop
+    for row, t, departure, limit in rows:
+        while departures[0] <= t:
+            dt = pop(departures)
+            area += occupied * (dt - last_t)
+            last_t = dt
+            occupied -= 1
+        area += occupied * (t - last_t)
+        last_t = t
+        if occupied < limit:
+            occupied += 1
+            push(departures, departure)
+        else:
+            blocked.append(row)
+    return occupied, area, last_t
+
+
+def block_events_reference(times, cls, departs, blocked, pending, occupied):
+    """The events of one admitted block, in the order the loop met them, as
+    three columns: the event times, their codes (``event_fields``) and the
+    occupancy after each event; and the departures still pending after it.
+
+    ``times``, ``cls`` and ``departs`` are the block's columns, ``blocked``
+    its blocked rows in order and ``occupied`` the occupancy before it.
+    ``pending`` holds the departure times and class indices of the admitted
+    calls not yet logged as departed. The loop's heap pops a departure
+    admitted at row j with time dt just before the first row i >= j + 1
+    whose time is >= dt, its slot; departures that share a slot leave by
+    (dt, class), the order of a heap of (dt, class) entries. A departure
+    whose slot is past the block's last row is carried in the pending
+    departures to the next block, where its slot is found again.
+    """
+    size = len(times)
+    carried = len(pending[0])
+    refused = np.zeros(size, dtype=bool)
+    refused[blocked] = True
+    rows = np.flatnonzero(~refused)
+    dt = np.concatenate((pending[0], departs[rows]))
+    dm = np.concatenate((pending[1], cls[rows]))
+    slot = times.searchsorted(dt, "left")
+    np.maximum(slot[carried:], rows + 1, out=slot[carried:])
+    order = np.lexsort((dm, dt, slot))
+    slot, dt, dm = slot[order], dt[order], dm[order]
+    gone = int(slot.searchsorted(size))   # the departures logged in this block
+    # each departure follows the arrivals before its slot, and each arrival
+    # the departures at or before its row
+    at_departure = slot[:gone] + np.arange(gone)
+    is_arrival = np.ones(size + gone, dtype=bool)
+    is_arrival[at_departure] = False
+    time = np.empty(size + gone)
+    time[is_arrival] = times
+    time[at_departure] = dt[:gone]
+    code = np.empty(size + gone, dtype=np.intp)
+    code[is_arrival] = 3 * cls + refused
+    code[at_departure] = 3 * dm[:gone] + 2
+    after = np.empty(size + gone, dtype=np.intp)     # +1 per accept, -1 per release
+    after[is_arrival] = ~refused
+    after[at_departure] = -1
+    after[0] += occupied
+    after.cumsum(out=after)
+    return (time, code, after), (dt[gone:], dm[gone:])
 
 
 def run_simulation_reference(scenario, record_events: bool = False) -> SimMetrics:

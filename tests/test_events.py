@@ -57,11 +57,10 @@ def write_config(tmp_path, rates="10, 8", arrivals=5000, replications=1, policy=
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
-# (arrivals per block, rows per ``%`` operation): the defaults, and blocks of
-# 7 arrivals whose batches the writer formats in several 5-row operations
-BLOCK_SIZES = pytest.mark.parametrize(
-    "block, row_block", [(simulate._BLOCK, cli._ROW_BLOCK), (7, 5)],
-    ids=[str(simulate._BLOCK), "7"])
+# arrivals per block, so per admission stage and per event batch: the
+# default, 7, and 1, where every arrival is a block of its own
+BLOCK_SIZES = pytest.mark.parametrize("block", [simulate._BLOCK, 7, 1],
+                                      ids=[str(simulate._BLOCK), "7", "1"])
 
 
 def assert_no_child_process():
@@ -91,9 +90,8 @@ def held_events(cfg):
 
 @BLOCK_SIZES
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block, row_block):
+def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block):
     monkeypatch.setattr(simulate, "_BLOCK", block)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
     cfg = write_config(tmp_path, *CONFIGS[name])
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -105,9 +103,8 @@ def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block,
 @needs_fork
 @BLOCK_SIZES
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_forked_writer_matches_in_process_writer(tmp_path, monkeypatch, name, block, row_block):
+def test_forked_writer_matches_in_process_writer(tmp_path, monkeypatch, name, block):
     monkeypatch.setattr(simulate, "_BLOCK", block)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
     cfg = write_config(tmp_path, *CONFIGS[name])
     forked, in_process = tmp_path / "forked", tmp_path / "in-process"
     assert run_main(["simulate", "--config", str(cfg), "--out", str(forked)]) == 0

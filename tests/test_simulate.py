@@ -1,15 +1,19 @@
+import heapq
 import math
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from itertools import count, islice
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import run_logged, run_simulation_reference
+from oracles import (admit_reference, block_events_reference, run_logged,
+                     run_simulation_reference)
 from qosguard import simulate
+from qosguard.admission import Admission
 from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
@@ -329,6 +333,108 @@ def scenarios(draw):
     )
 
 
+@st.composite
+def admission_blocks(draw):
+    """A block for the admission stage and the state it starts from: N, M, the
+    block's columns (times, class indices, departure times, limits), the
+    carried departures' times and classes, the last event time, the area so
+    far and the warm row (None for none). The times lie on a grid of 1/4 or
+    of 1 if drawn so, which ties arrivals and departures; holding times are
+    0.0 often; the limits of each row are drawn from 0 to N; and some carried
+    departures are due exactly at a row's time or at the last event's."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    size = draw(st.sampled_from([1, 7, 1024]))
+    m_count = draw(st.integers(min_value=1, max_value=4))
+    grid = draw(st.sampled_from([None, 0.25, 1.0]))
+    load = draw(st.sampled_from([0.3, 1.0, 3.0]))
+
+    def on_grid(values):
+        return values if grid is None else np.floor(values / grid) * grid
+
+    last_t = draw(st.sampled_from([0.0, 0.75, 1e4 + 0.5]))
+    times = last_t + np.cumsum(on_grid(rng.exponential(1.0, size)))
+    holds = on_grid(rng.exponential(n * load, size))
+    holds[rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    cls = rng.integers(0, m_count, size)
+    limits = rng.integers(0, n + 1, size) if draw(st.booleans()) else np.full(size, n)
+    carried = draw(st.integers(min_value=0, max_value=n))
+    pending_t = last_t + on_grid(rng.exponential(n * load, carried))
+    tied = rng.random(carried) < 0.3
+    pending_t[tied] = rng.choice(np.append(times, last_t), int(tied.sum()))
+    pending_m = rng.integers(0, m_count, carried)
+    area = draw(st.sampled_from([0.0, 17.25, 1e6 / 3]))
+    warm = draw(st.sampled_from([None, 0, size // 2, size - 1]))
+    pending = pending_t, pending_m
+    return n, m_count, (times, cls, times + holds, limits), pending, last_t, area, warm
+
+
+def admit_by_reference(block):
+    """The blocked rows, the occupancy, the area, the last event time, the
+    event batch and the pending departures, of the block taken through the
+    plain loop and the event rebuild the stage replaced."""
+    _, _, (times, cls, departs, limits), pending, last_t, area, warm = block
+    departures = [math.inf, *pending[0].tolist()]
+    heapq.heapify(departures)
+    occupied, blocked = len(pending[0]), []
+    rows = zip(count(), times.tolist(), departs.tolist(), limits.tolist())
+    if warm is not None:
+        occupied, area, last_t = admit_reference(
+            islice(rows, warm + 1), departures, occupied, area, last_t, blocked)
+        area = 0.0
+    after = admit_reference(rows, departures, occupied, area, last_t, blocked)
+    batch, left = block_events_reference(times, cls, departs, blocked, pending,
+                                         len(pending[0]))
+    return blocked, after, batch, left, sorted(departures)[:-1]
+
+
+class TestAdmissionStage:
+    # the admission stage against the loop it replaced: every blocked row,
+    # the occupancy, the carried departures, the event batch and the area,
+    # bit for bit
+    @settings(max_examples=250, deadline=None)
+    @given(block=admission_blocks())
+    # row 0 is due a carried departure at its own time and row 1 has limit 0;
+    # row 0's call leaves at once (a zero hold), before row 1 at that time
+    @example(block=(2, 2, (np.array([1.0, 1.0, 2.0]), np.array([0, 1, 0]),
+                        np.array([1.0, 3.0, 2.0]), np.array([1, 0, 2])),
+                    (np.array([1.0, 4.0]), np.array([1, 0])), 0.5, 3.0, 1))
+    def test_matches_reference_loop(self, block):
+        n, m_count, columns, (pending_t, pending_m), last_t, area, warm = block
+        stage = Admission(n, m_count, block=1024)
+        stage.pending, stage.area, stage.last_t = len(pending_t), area, last_t
+        stage.dt[:stage.pending], stage.dm[:stage.pending] = pending_t, pending_m
+        batches = []
+        blocked = stage.admit(*columns, -1 if warm is None else warm,
+                              sink=lambda *batch: batches.append(batch))
+        want_blocked, (occupied, want_area, want_last_t), want_batch, left, heap = (
+            admit_by_reference(block))
+        assert blocked == want_blocked
+        assert stage.pending == occupied == len(heap)
+        assert stage.area.hex() == want_area.hex()
+        assert stage.last_t == want_last_t
+        (batch,) = batches
+        for got, want in zip(batch, want_batch):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(stage.dt[:stage.pending], left[0])
+        assert np.array_equal(stage.dm[:stage.pending], left[1])
+        assert sorted(stage.dt[:stage.pending].tolist()) == heap
+
+    @pytest.mark.parametrize("length", [10, 1000, 100_000])
+    def test_cumsum_adds_left_to_right(self, length):
+        # the stage's area is one np.cumsum over the terms of the events; it
+        # matches a loop only if cumsum adds one term at a time, left to
+        # right, unlike np.sum's pairwise adds
+        rng = np.random.default_rng(length)
+        terms = rng.exponential(1.0, length) * 10.0 ** rng.integers(-12, 13, length)
+        total, sums = 0.0, []
+        for term in terms.tolist():
+            total += term
+            sums.append(total)
+        assert np.array_equal(np.cumsum(terms).view(np.int64),
+                              np.array(sums).view(np.int64))
+
+
 class TestMatchesReferenceLoop:
     # the loop's merged arrival chunks, departures-only heap and cached floor
     # rule must give exactly what the plain one-heap loop gives: every count,
@@ -577,10 +683,10 @@ class TestScenarioValidation:
             small_scenario(**{name: value})
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
-                                       (1e308, 1e308), None, 5, "12", ["a"],
+                                       (1e308, 1e308), None, 5, "12", b"12", ["a"],
                                        (r for r in (1.0, 2.0))],
                              ids=["()", "-0.5", "inf", "nan", "1e308+1e308", "None", "5",
-                                  "'12'", "['a']", "generator"])
+                                  "'12'", "b'12'", "['a']", "generator"])
     def test_bad_rates_rejected(self, rates):
         # one rate rule, the empty vector included, checked on the value as
         # given, before it is converted
