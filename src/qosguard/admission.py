@@ -14,6 +14,14 @@ import math
 import numpy as np
 
 
+def search_slots(times, keys, order, out) -> None:
+    """Write to ``out`` each key's first index in the sorted ``times`` whose
+    time is >= the key, ``times.searchsorted(keys, "left")``. ``order``
+    sorts ``keys``, equal keys in any order: searched in that order, each
+    key's search starts where the last one's ended."""
+    out[order] = times.searchsorted(keys[order], "left")
+
+
 class Admission:
     """The admission stage: it decides a block of arrivals at a time and
     carries from block to block the pending departures, one per occupied
@@ -29,10 +37,13 @@ class Admission:
     less its bound, plus the blocked rows it still counts (a heap of their
     slots > k), is <= 0. The events go by (slot, time, class), as a heap of
     the pending (time, class) pops them before each arrival; a slot never
-    falls as the time rises, so one ``lexsort`` by time, then slot and class
-    (below ``m_count``), gives that order, with the blocked rows last: their
-    times are set to inf. A block holds at most ``block`` rows. Each event adds the occupancy before it times the
-    time since the last event to ``area``, in one left-to-right ``cumsum``.
+    falls as the time rises, so the admitted departures sorted by time give
+    that order once the ones due at equal times go by slot, then class
+    (below ``m_count``). One sort by time of all the block's departures
+    serves both: its order finds the slots, and without the blocked rows'
+    departures it is the event order. A block holds at most ``block`` rows.
+    Each event adds the occupancy before it times the time since the last
+    event to ``area``, in one left-to-right ``cumsum``.
     """
 
     def __init__(self, n: int, m_count: int, block: int):
@@ -51,13 +62,15 @@ class Admission:
         end = carried + size
         # the block's buffers are of the same sizes in every block, so each
         # reuses the last one's memory, and none is held while the feed
-        # builds the next block
-        st, time, occupied = (np.empty(self.events) for _ in range(3))
-        sm, at = (np.empty(self.calls, dtype=np.intp) for _ in range(2))
-        admitted, arrival = np.ones(self.calls), np.ones(self.events, dtype=bool)
+        # builds the next block; the event buffers come after the candidate
+        # loop, whose lists of ints would add to them
+        admitted, slot = np.ones(self.calls), np.empty(self.calls, dtype=np.intp)
         dt, dm = self.dt[:end], self.dm[:end]
         dt[carried:], dm[carried:] = departs, cls
-        slot = times.searchsorted(dt, "left")
+        # the departures in time order; stable, the merge stage's sort: the
+        # default sort's code would add ~0.2 MiB to the memory of every run
+        order, slot = dt.argsort(kind="stable"), slot[:end]
+        search_slots(times, dt, order, slot)
         np.maximum(slot[carried:], self.span[1:size + 1], out=slot[carried:])
         counts = np.bincount(slot, minlength=size + 1)
         # each row's limit less its bound, less 1, capped at 0: nonzero for
@@ -69,33 +82,55 @@ class Admission:
         room -= self.span[carried + 1:end + 1]
         np.minimum(room, 0, out=room)
         rows = np.flatnonzero(room)
+        # the block's rows' slots and decisions
+        ahead, accepted = slot[carried:], admitted[carried:end]
         blocked, counted = [], []
+        pop, push, block = heapq.heappop, heapq.heappush, blocked.append
+        # the blocked rows still counted, and the earliest of their slots
+        active, expiry = 0, math.inf
         for row, spare in zip(rows.tolist(), room[rows].tolist()):
-            while counted and counted[0] <= row:
-                heapq.heappop(counted)
-            if spare + len(counted) < 0:
-                blocked.append(row)
-                heapq.heappush(counted, int(slot[carried + row]))
-                dt[carried + row], slot[carried + row] = math.inf, size + 1
-                admitted[row] = 0.0
+            while expiry <= row:
+                pop(counted)
+                active -= 1
+                expiry = counted[0] if counted else math.inf
+            if spare + active < 0:
+                block(row)
+                push(counted, ahead.item(row))
+                active += 1
+                expiry = counted[0]
+                accepted[row] = 0.0
         # the counted slots equal to size are blocked rows'
         self.pending = int(counts[size]) - counted.count(size)
-        gone = end - len(blocked) - self.pending    # the departures logged here
-        key = np.add(np.multiply(slot, self.m_count, out=at[:end]), dm, out=at[:end])
-        order = np.lexsort((key, dt))
+        del counts, room, rows
+        kept = end - len(blocked)                   # the admitted departures
+        gone = kept - self.pending                  # the departures logged here
+        if blocked:
+            order = order[np.flatnonzero(np.take(admitted, order))]
+        st, time, occupied = (np.empty(self.events) for _ in range(3))
+        sm, at = (np.empty(self.calls, dtype=np.intp) for _ in range(2))
+        arrival = np.ones(self.events, dtype=bool)
         # mode clip: raise would copy through a buffer; the indices are in range
-        np.take(dt, order, out=st[:end], mode="clip")
-        np.take(dm, order, out=sm[:end], mode="clip")
+        due = np.take(dt, order, out=st[:kept], mode="clip")
+        # departures due at equal times go by slot, then class; two due at
+        # inf leave a nan gap, not a tie, but neither is ever logged
+        with np.errstate(invalid="ignore"):
+            gaps = np.subtract(due[1:], due[:-1], out=time[:max(kept - 1, 0)])
+        if np.count_nonzero(gaps) < len(gaps):
+            key = np.add(np.multiply(slot[order], self.m_count, out=at[:kept]), dm[order],
+                         out=at[:kept])
+            order = order[np.lexsort((key, due))]
+            np.take(dt, order, out=due, mode="clip")
+        np.take(dm, order, out=sm[:kept], mode="clip")
         at = np.take(slot, order[:gone], out=at[:gone], mode="clip")
-        kept = slice(gone, gone + self.pending)
-        self.dt[:self.pending], self.dm[:self.pending] = st[kept], sm[kept]
+        self.dt[:self.pending], self.dm[:self.pending] = st[gone:kept], sm[gone:kept]
+        del order, slot, ahead                      # freed before the event columns
         at += self.span[:gone]                      # each logged departure's event
         events = size + gone
         arrival, time, occupied = arrival[:events], time[:events + 1], occupied[:events + 1]
         arrival[at] = False
         time[0], occupied[0] = self.last_t, carried
         time[1:][arrival], time[1:][at] = times, st[:gone]
-        occupied[1:][arrival], occupied[1:][at] = admitted[:size], -1.0
+        occupied[1:][arrival], occupied[1:][at] = accepted, -1.0
         occupied.cumsum(out=occupied)
         terms = st[:events + 1]                     # the sorted times are used up
         np.subtract(time[1:], time[:-1], out=terms[1:])
@@ -109,7 +144,13 @@ class Admission:
         self.area, self.last_t = float(terms[-1]), float(times[-1])
         if sink:
             code = np.empty(events, dtype=np.intp)
-            code[arrival] = 3 * cls + 1 - admitted[:size].astype(np.intp)
-            code[at] = 3 * sm[:gone] + 2
+            arrived = 3 * cls
+            arrived += 1
+            arrived -= accepted.astype(np.intp)
+            code[arrival] = arrived
+            del arrived
+            departed = np.multiply(sm[:gone], 3, out=sm[:gone])
+            departed += 2
+            code[at] = departed
             sink(time[1:], code, occupied[1:].astype(np.intp))
         return blocked

@@ -7,7 +7,7 @@ priority. Class 1 can always reach all N channels. A class-m call is
 admitted iff the occupancy is below its limit N_m.
 
 The floor rule y_m = floor(X_m + ... + X_M) is one function,
-``partitions``, on a grid with one row per rate vector: per arrival in the
+``guard_floors``, on a grid with one row per rate vector: per arrival in the
 simulator's dynamic policy, per grid point in the analyzer and for one
 vector in ``compute_partition``. An all-zero row gets the equal split.
 
@@ -60,8 +60,9 @@ def finite_non_negative(values) -> bool:
     return all(math.isfinite(v) and v >= 0 for v in values) and math.isfinite(sum(values))
 
 
-# bytes iterate as ints, so b"12" would read as the rates (49.0, 50.0)
-RATE_VECTOR = dict(check=lambda v: not isinstance(v, (bytes, bytearray))
+# bytes, and a memoryview of them, iterate as ints, so b"12" would read as
+# the rates (49.0, 50.0)
+RATE_VECTOR = dict(check=lambda v: not isinstance(v, (bytes, bytearray, memoryview))
                    and len(v) > 0 and finite_non_negative(v),
                    rule="must be one or more entries, finite and >= 0 with a finite sum")
 
@@ -121,20 +122,38 @@ class ChannelPartition:
     limits: tuple[int, ...]         # N_m, total channels reachable by class m
 
 
+def guard_floors(config: SystemConfig, rates) -> np.ndarray:
+    """Guard access y_m of every row of a P x M rate grid, as a P x M int
+    array; an all-zero row gets the equal split. On the grid's columns r_1,
+    ..., r_M it computes total = r_1 + ... + r_M, X_m = r_m / total * Gamma
+    and y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to
+    right: the same float operations in the same order as a loop over one
+    row's shares. Every entry must be finite and >= 0 with a finite row
+    sum: ``parse_config`` checks the CLI's grids, and the simulator's window
+    estimates are by construction. Besides y it holds three P-long arrays:
+    each share is computed again for every suffix sum that takes it."""
+    full = rates.any(axis=1)
+    if np.count_nonzero(full) < len(full):
+        rates = np.where(full[:, None], rates, 1.0)
+    columns = rates.T
+    total = reduce(add, columns)
+    access = np.empty(columns.shape, dtype=int)
+    for m, first in enumerate(columns):
+        suffix = first / total
+        suffix *= config.guard
+        for r in columns[m + 1:]:
+            share = r / total
+            share *= config.guard
+            suffix += share
+        suffix += _FLOOR_SNAP
+        np.floor(suffix, out=access[m], casting="unsafe")
+    return access.T
+
+
 def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
-    """Guard access y_m and limit N_m = y_m + N - Gamma of every row of a
-    P x M rate grid, as two P x M int arrays; an all-zero row gets the equal
-    split. On the grid's columns r_1, ..., r_M it computes total = r_1 + ...
-    + r_M, X_m = r_m / total * Gamma and y_m = floor(X_m + ... + X_M +
-    _FLOOR_SNAP), every sum left to right: the same float operations in the
-    same order as a loop over one row's shares. Every entry must be finite
-    and >= 0 with a finite row sum: ``parse_config`` checks the CLI's grids,
-    and the simulator's window estimates are by construction."""
-    rates = np.where(rates.any(axis=1, keepdims=True), rates, 1.0).T
-    total = reduce(add, rates)
-    shares = [r / total * config.guard for r in rates]
-    access = np.array([np.floor(reduce(add, shares[m:]) + _FLOOR_SNAP)
-                       for m in range(len(shares))], dtype=int).T
+    """Guard access y_m (``guard_floors``) and limit N_m = y_m + N - Gamma
+    of every row of a P x M rate grid, as two P x M int arrays."""
+    access = guard_floors(config, rates)
     return access, access + (config.n_channels - config.guard)
 
 

@@ -7,11 +7,16 @@ arrival's limit depends only on the arrival times. The feed
 (``_arrival_batches``) computes the limits with numpy, a block of arrivals
 at a time, in two stages: the merge stage (``_merge``) takes the block from
 the classes' drawn-ahead arrivals in time order, and the limit stage
-(``_estimated_access``) runs the allocator's ``partitions`` on each row's
+(``_estimated_access``) runs the allocator's ``guard_floors`` on each row's
 window estimates. The admission stage (``admission.Admission``) then decides the
 block's calls, orders its events and sums the occupancy integral. Runs are
 deterministic for a fixed scenario, and both policies can be replayed on
 the identical random draws for paired comparison.
+
+A run's first draw imports ``numpy.random``: ~9-15 ms and ~5.5 MiB of RSS
+on a 2-core x86-64 machine, 3.3 MiB of it OpenSSL, pulled in by
+``secrets`` -> ``hmac`` -> ``hashlib``. Importing it before the config is
+parsed would only move that time from the run to the set-up.
 
 ``SimScenario``'s fields are the ``[simulation]`` keys of a config, and
 ``[traffic] rates``: each field's default, check and rule live there once,
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import (RATE_VECTOR, SystemConfig, checked, compute_partition, field_errors,
-                        integer_at_least, partitions)
+                        guard_floors, integer_at_least)
 from .admission import Admission
 from .traffic import ArrivalWindow
 
@@ -38,13 +43,16 @@ POLICY_SHARING = "sharing"
 POLICIES = (POLICY_DYNAMIC, POLICY_SHARING)
 
 # draws per generator call; it does not change the values drawn. A chunk's
-# arrays are 2 KiB, above the 1 KiB below which numpy keeps freed blocks in
+# arrays are 4 KiB, above the 1 KiB below which numpy keeps freed blocks in
 # a cache: arrays of many different smaller sizes fill that cache and raise
 # the memory a run holds.
-_RNG_CHUNK = 256
+_RNG_CHUNK = 512
 # arrivals per block handed to the admission stage, and per event batch; it
-# does not change the run
-_BLOCK = 1024
+# does not change the run. A block makes some 120 numpy calls, whose fixed
+# cost 2048 rows spread out. The limit stage's M x 2048 arrays and the
+# admission stage's event buffers, N + 4096 rows long, set the memory a run
+# peaks at.
+_BLOCK = 2048
 # (kind, decision) of an event by its code modulo 3; the code of an event of
 # class index m is 3 * m plus the kind's position here
 _EVENT_KINDS = (("arrival", "accept"), ("arrival", "block"), ("departure", "release"))
@@ -140,12 +148,15 @@ def _merge(streams, classes, size):
     while True:
         low = min(streams, key=attrgetter("last"))
         horizon = low.last
-        # low may draw more arrivals at horizon, which go before a later
-        # class's arrivals at that time
-        counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
-                  for s in streams]
-        if sum(counts) >= size:
-            break
+        # the complete arrivals are among the drawn ones: count them only
+        # once the drawn ones could fill the block
+        if sum(len(s.times) for s in streams) >= size:
+            # low may draw more arrivals at horizon, which go before a later
+            # class's arrivals at that time
+            counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
+                      for s in streams]
+            if sum(counts) >= size:
+                break
         if horizon == math.inf:
             # the arrivals still needed lie at inf, where drawing on never reaches
             raise ValueError("arrival times overflow to inf: a positive rate is below "
@@ -175,7 +186,7 @@ def _estimated_access(cls, own, latest, rates, config):
     row's vector holds every class's latest estimate at that row. From the
     first row whose vector has no nan the estimator is ready, and so it is
     for the whole block if ``latest`` has no nan; the rows before it take
-    the configured ``rates``, on which ``partitions`` gives
+    the configured ``rates``, on which ``guard_floors`` gives
     ``compute_partition``'s configured partition by the same float operations.
     """
     m_count, size = len(rates), len(cls)
@@ -189,14 +200,14 @@ def _estimated_access(cls, own, latest, rates, config):
     source[cls, span] = span
     np.maximum.accumulate(source, axis=1, out=source)
     columns = table[source]
-    del table, source
+    del table, source, span
     after = columns[:, -1].tolist()
     if any(map(math.isnan, latest)):
         # a class's estimates are nan until its second arrival, finite from then on
         nan_free = ~np.isnan(columns).any(axis=0)
         warm = int(nan_free.argmax()) if nan_free[-1] else size
         columns[:, :warm] = np.array(rates)[:, None]
-    y = partitions(config, columns.T)[0].T
+    y = guard_floors(config, columns.T).T
     return y, columns, after
 
 
@@ -317,8 +328,11 @@ def run_simulation(
             # counted in Python: indexing cls by the blocked rows would make
             # a small array of a new size per block, and numpy keeps such
             # blocks in its cache, which raises the memory a run holds
-            for row in blocked[bisect_left(blocked, start):]:
-                block_counts[cls[row]] += 1
+            if measured := blocked[bisect_left(blocked, start):]:
+                classes = cls.tolist()
+                for row in measured:
+                    block_counts[classes[row]] += 1
+                del classes
         done += size
         del times, cls, departs, limits
 

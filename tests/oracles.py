@@ -15,7 +15,10 @@ one draw per scheduled arrival, the window estimator one arrival at a time
 event batches into the reference loop's event tuples. ``admit_reference``
 and ``block_events_reference`` are the simulator's admission loop (a heap
 of the pending departure times) and its numpy rebuild of a block's events,
-as they ran before the per-block admission stage replaced them. The point
+as they ran before the per-block admission stage replaced them.
+``merge_reference`` is the simulator's merge stage as it ran before it
+counted the complete arrivals only once the drawn ones could fill a block:
+it searches every class's times on every round. The point
 solver is the analyzer as it ran before it took a grid: one point at a
 time, the Erlang-B recurrence a Python loop over floats. The full-width
 solver is the grid solver as it ran before it narrowed to the guard band:
@@ -29,6 +32,7 @@ import csv
 import heapq
 import math
 from collections import deque
+from operator import attrgetter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -310,6 +314,34 @@ def run_logged(scenario) -> SimMetrics:
     metrics = run_simulation(scenario, on_events=log)
     metrics.events = log.events
     return metrics
+
+
+def merge_reference(streams, classes, size):
+    """``simulate._merge`` as it ran with a search of every class's times on
+    every round: the next ``size`` arrivals of ``streams`` (class indices
+    ``classes``), dropped from them, as (times, class indices, holding
+    times, own-class window estimates or None)."""
+    while True:
+        low = min(streams, key=attrgetter("last"))
+        horizon = low.last
+        counts = [s.times.searchsorted(horizon, "right" if s.m <= low.m else "left")
+                  for s in streams]
+        if sum(counts) >= size:
+            break
+        if horizon == math.inf:
+            raise ValueError("arrival times overflow to inf: a positive rate is below "
+                             "the smallest whose mean gap 1/rate is finite")
+        low.refill()
+    times = np.concatenate([s.times[:k] for s, k in zip(streams, counts)])
+    rows = times.argsort(kind="stable")[:size]
+    cls = np.repeat(classes, counts)[rows]
+    holds = np.concatenate([s.holds[:k] for s, k in zip(streams, counts)])[rows]
+    own = (np.concatenate([s.estimates[:k] for s, k in zip(streams, counts)])[rows]
+           if streams[0].window is not None else None)
+    taken = np.bincount(cls, minlength=classes[-1] + 1)[classes].tolist()
+    for s, k in zip(streams, taken):
+        s.times, s.holds, s.estimates = s.times[k:], s.holds[k:], s.estimates[k:]
+    return times[rows], cls, holds, own
 
 
 def admit_reference(rows, departures, occupied, area, last_t, blocked):

@@ -119,9 +119,10 @@ class TestComputePartition:
             compute_partition(CFG, rates)
 
     @pytest.mark.parametrize("rates", [(1.0, -0.1), (math.nan, 1.0), (1e308, 1e308), (),
-                                       None, 5, "12", b"12", ["a"], (r for r in (1.0, 2.0))],
+                                       None, 5, "12", b"12", memoryview(b"12"), ["a"],
+                                       (r for r in (1.0, 2.0))],
                              ids=["-0.1", "nan", "1e308+1e308", "()", "None", "5", "'12'",
-                                  "b'12'", "['a']", "generator"])
+                                  "b'12'", "memoryview(b'12')", "['a']", "generator"])
     def test_bad_rate_is_field_error(self, rates):
         # the package's one rate rule, the one SimScenario declares, checked
         # on the value as given: a string is not read as its characters

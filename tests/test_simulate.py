@@ -10,13 +10,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (admit_reference, block_events_reference, run_logged,
+from oracles import (admit_reference, block_events_reference, merge_reference, run_logged,
                      run_simulation_reference)
 from qosguard import simulate
-from qosguard.admission import Admission
+from qosguard.admission import Admission, search_slots
 from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
 from qosguard.simulate import SimScenario, compare_policies, run_simulation
+from qosguard.traffic import ArrivalWindow
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 50)
 SMALL_RATES = (1.0, 1.0)
@@ -333,6 +334,49 @@ def scenarios(draw):
     )
 
 
+class TestMergeStage:
+    # the merge stage against the one that searched every class's times on
+    # every round, block after block: every column and every stream's
+    # remaining draws
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # floored draws give gaps of 0.0 and equal times within and across
+    # classes; a class at rate 0 has no stream, so the class indices skip it
+    @given(rates=st.lists(st.just(0.0) | st.floats(min_value=0.05, max_value=8.0),
+                          min_size=1, max_size=5).filter(any),
+           seed=st.integers(min_value=0, max_value=2**32 - 1), floored=st.booleans(),
+           chunk=st.sampled_from([1, 7, simulate._RNG_CHUNK]),
+           sizes=st.lists(st.integers(min_value=1, max_value=700), min_size=1, max_size=6))
+    def test_matches_reference(self, monkeypatch, rates, seed, floored, chunk, sizes):
+        monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
+        seeds = np.random.SeedSequence(seed).spawn(2 * len(rates))
+
+        def streams():
+            made = []
+            for m, rate in enumerate(rates):
+                if rate > 0:
+                    # a window takes only strictly increasing times
+                    window = None if floored else ArrivalWindow(m + 1, 5)
+                    made.append(simulate._ClassStream(m, rate, seeds[m], seeds[len(rates) + m],
+                                                      1.0, window))
+                    if floored:
+                        made[-1].arrival_rng = _FlooredRng(made[-1].arrival_rng)
+            return made
+
+        ours, theirs = streams(), streams()
+        classes = np.array([s.m for s in ours])
+        for size in sizes:
+            got = simulate._merge(ours, classes, size)
+            want = merge_reference(theirs, classes, size)
+            for column, expected in zip(got, want):
+                assert (column is None and expected is None) or np.array_equal(
+                    column, expected, equal_nan=True)
+            for a, b in zip(ours, theirs):
+                assert a.last == b.last
+                for name in ("times", "holds", "estimates"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+
+
 @st.composite
 def admission_blocks(draw):
     """A block for the admission stage and the state it starts from: N, M, the
@@ -420,6 +464,26 @@ class TestAdmissionStage:
         assert np.array_equal(stage.dm[:stage.pending], left[1])
         assert sorted(stage.dt[:stage.pending].tolist()) == heap
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           size=st.integers(min_value=1, max_value=300),
+           count=st.integers(min_value=0, max_value=400))
+    def test_sorted_slot_search_matches_searchsorted(self, seed, size, count):
+        # times and keys on a 1/4 grid: times repeat, and keys equal each
+        # other and the times exactly. Whatever order a sort gives equal
+        # keys, stable, unstable or reversed, every slot is the same
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(np.floor(rng.exponential(0.5, size) * 4) / 4)
+        keys = np.floor(rng.uniform(-1.0, times[-1] + 1.0, count) * 4) / 4
+        tied = rng.random(count) < 0.5
+        keys[tied] = rng.choice(times, int(tied.sum()))
+        want = times.searchsorted(keys, "left")
+        for order in (keys.argsort(kind="stable"), keys.argsort(kind="quicksort"),
+                      np.lexsort((-np.arange(count), keys))):
+            slots = np.full(count, -1, dtype=np.intp)
+            search_slots(times, keys, order, slots)
+            assert np.array_equal(slots, want)
+
     @pytest.mark.parametrize("length", [10, 1000, 100_000])
     def test_cumsum_adds_left_to_right(self, length):
         # the stage's area is one np.cumsum over the terms of the events; it
@@ -449,11 +513,11 @@ class TestMatchesReferenceLoop:
     @given(scenario=scenarios(), logged=st.booleans(),
            draws=st.sampled_from([None, _QuantisedRng, _FlooredRng]),
            block=st.sampled_from([1, 7, 64, 1024]))
-    # class 3's second chunk of draws starts with a 0.0 gap, so its 257th
-    # arrival is at the time of its 256th, the last it drew before, and
-    # goes before class 4's arrival at that time, the run's 503rd
+    # class 3's second chunk of 512 draws starts with a 0.0 gap, so its
+    # 513th arrival, the run's 957th, is at the time of its 512th, the last
+    # it drew before, and goes before class 4's arrival at that time
     @example(scenario=SimScenario(config=SystemConfig(1, 0, 1.0, 1),
-                                  rates=(0.0, 0.0, 3.5, 3.0), arrivals=503, seed=0),
+                                  rates=(0.0, 0.0, 3.5, 3.0), arrivals=957, seed=1),
              logged=False, draws=_FlooredRng, block=1024)
     def test_same_metrics_as_reference(self, monkeypatch, scenario, logged, draws, block):
         with monkeypatch.context() as patch:
@@ -496,10 +560,11 @@ class TestMatchesReferenceLoop:
                                arrivals=5000, seed=9, policy=policy,
                                bypass_estimator=bypass, trace_stride=7)
         runs = []
-        # (draw chunk, block): draw chunks under blocks of 1024 rows, then
-        # blocks of one row, smaller than a chunk and not a multiple of one
-        for chunk, block in [(1, 1024), (7, 1024), (128, 1024), (512, 1024),
-                             (256, 1), (256, 100), (7, 700), (256, 700)]:
+        # (draw chunk, block): draw chunks under blocks of 1024 and 2048
+        # rows, then blocks of one row, smaller than a chunk and not a
+        # multiple of one
+        for chunk, block in [(1, 1024), (7, 1024), (128, 1024), (512, 1024), (512, 2048),
+                             (256, 1), (256, 100), (7, 700), (256, 700), (2048, 7)]:
             monkeypatch.setattr(simulate, "_RNG_CHUNK", chunk)
             monkeypatch.setattr(simulate, "_BLOCK", block)
             runs.append(asdict(run_logged(scenario)))
@@ -683,10 +748,10 @@ class TestScenarioValidation:
             small_scenario(**{name: value})
 
     @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (math.inf, 1.0), (math.nan, 1.0),
-                                       (1e308, 1e308), None, 5, "12", b"12", ["a"],
-                                       (r for r in (1.0, 2.0))],
+                                       (1e308, 1e308), None, 5, "12", b"12",
+                                       memoryview(b"12"), ["a"], (r for r in (1.0, 2.0))],
                              ids=["()", "-0.5", "inf", "nan", "1e308+1e308", "None", "5",
-                                  "'12'", "b'12'", "['a']", "generator"])
+                                  "'12'", "b'12'", "memoryview(b'12')", "['a']", "generator"])
     def test_bad_rates_rejected(self, rates):
         # one rate rule, the empty vector included, checked on the value as
         # given, before it is converted
