@@ -12,7 +12,7 @@ from .markov import (
     erlang_b,
     steady_state,
 )
-from .simulate import SimMetrics, SimScenario, compare_policies, run_simulation
+from .simulate import SimMetrics, SimScenario, run_simulation
 from .traffic import ArrivalWindow
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SimScenario",
     "SystemConfig",
     "blocking_probabilities",
-    "compare_policies",
     "compute_partition",
     "erlang_b",
     "run_simulation",

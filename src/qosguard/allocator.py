@@ -116,6 +116,20 @@ class SystemConfig:
             )
 
 
+# the check and rule of a value that must be a SystemConfig
+SYSTEM_CONFIG = dict(check=lambda v: isinstance(v, SystemConfig), rule="must be a SystemConfig")
+
+
+def _rate_grid(rates) -> bool:
+    """A 2-D grid whose entries are finite and >= 0, with finite row sums
+    added as ``guard_floors`` adds them."""
+    grid = np.asarray(rates, dtype=float)
+    if grid.ndim != 2 or not (np.isfinite(grid) & (grid >= 0)).all():
+        return False
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(reduce(add, grid.T)).all())
+
+
 @dataclass(frozen=True)
 class ChannelPartition:
     guard_access: tuple[int, ...]   # y_m, guard channels reachable by class m
@@ -129,9 +143,10 @@ def guard_floors(config: SystemConfig, rates) -> np.ndarray:
     and y_m = floor(X_m + ... + X_M + _FLOOR_SNAP), every sum left to
     right: the same float operations in the same order as a loop over one
     row's shares. Every entry must be finite and >= 0 with a finite row
-    sum: ``parse_config`` checks the CLI's grids, and the simulator's window
-    estimates are by construction. Besides y it holds three P-long arrays:
-    each share is computed again for every suffix sum that takes it."""
+    sum, which it does not check: ``partitions`` checks its grids, and the
+    simulator's window estimates are so by construction. Besides y it holds
+    three P-long arrays: each share is computed again for every suffix sum
+    that takes it."""
     full = rates.any(axis=1)
     if np.count_nonzero(full) < len(full):
         rates = np.where(full[:, None], rates, 1.0)
@@ -152,14 +167,19 @@ def guard_floors(config: SystemConfig, rates) -> np.ndarray:
 
 def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
     """Guard access y_m (``guard_floors``) and limit N_m = y_m + N - Gamma
-    of every row of a P x M rate grid, as two P x M int arrays."""
-    access = guard_floors(config, rates)
+    of every row of a P x M rate grid, as two P x M int arrays. The grid's
+    entries must be finite and >= 0, with finite row sums."""
+    require("config", config, **SYSTEM_CONFIG)
+    require("rates", rates, check=_rate_grid,
+            rule="must be a 2-D grid, finite and >= 0 with finite row sums")
+    access = guard_floors(config, np.asarray(rates, dtype=float))
     return access, access + (config.n_channels - config.guard)
 
 
 def compute_partition(config: SystemConfig, rates) -> ChannelPartition:
     """Per-class partition (y_m, N_m) of one rate vector that passes the
-    ``RATE_VECTOR`` check: the one-row case of ``partitions``."""
+    ``RATE_VECTOR`` check: the one-row case of ``partitions``, which
+    checks ``config``."""
     require("rates", rates, **RATE_VECTOR)
     rates = tuple(float(r) for r in rates)
     access, limits = partitions(config, np.array([rates]))

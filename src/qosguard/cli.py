@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import markov, vlc
 from .allocator import partitions
 from .config import ConfigError, ExperimentSpec, parse_config, render_manifest, sweep_points
-from .simulate import POLICIES, SimScenario, compare_policies, event_fields, run_simulation
+from .simulate import POLICIES, SimMetrics, SimScenario, event_fields, run_simulation
 
 
 # rows per ``%`` operation of a CSV table: the writer holds one block's text at a time
@@ -142,16 +143,29 @@ def _class_rows(key, *columns):
     return [(*key, m + 1, *values) for m, values in enumerate(zip(*columns))]
 
 
-def _replications(spec: ExperimentSpec, rates) -> list[SimScenario]:
-    """The scenario of each replication at ``rates``: every other
-    ``SimScenario`` field taken from the spec by name, and replication r
-    seeded ``spec.seed + r``. A ``ConfigError`` if ``rates`` is None: the
-    config gave no ``[traffic] rates`` to simulate."""
-    if rates is None:
+def _scenarios(spec: ExperimentSpec, points, policies) -> list[SimScenario]:
+    """Each run's scenario, by rate vector of ``points``, then replication
+    r, then policy of ``policies``: seeded ``spec.seed + r``, every other
+    ``SimScenario`` field taken from the spec by name. A ``ConfigError`` if
+    a rate vector is None: the config gave no ``[traffic] rates``."""
+    if any(rates is None for rates in points):
         raise ConfigError("[traffic] rates required to simulate")
     run = {f.name: getattr(spec, f.name) for f in fields(SimScenario)}
-    return [SimScenario(**{**run, "rates": rates, "seed": spec.seed + rep})
-            for rep in range(spec.replications)]
+    return [SimScenario(**{**run, "rates": rates, "seed": spec.seed + rep, "policy": policy})
+            for rates in points for rep in range(spec.replications) for policy in policies]
+
+
+def _run_all(spec: ExperimentSpec, points, policies, events) -> Iterator[SimMetrics]:
+    """Run every scenario of ``_scenarios`` in order, all built before the
+    first run, and yield each run's metrics as it ends, so a sweep holds
+    one run's traces at a time. Given ``events``, the event log's path, run
+    r's events are logged as replication r's, which run r is at one rate
+    vector and one policy."""
+    scenarios = _scenarios(spec, points, policies)
+    log = nullcontext() if events is None else _event_log(events, len(scenarios[0].rates))
+    with log as write:
+        for rep, scenario in enumerate(scenarios):
+            yield run_simulation(scenario, on_events=None if write is None else partial(write, rep))
 
 
 def _write_runs(out: Path, key_names, runs) -> None:
@@ -171,43 +185,36 @@ def _write_runs(out: Path, key_names, runs) -> None:
 
 
 def _mode_simulate(spec: ExperimentSpec, out: Path) -> None:
-    scenarios = _replications(spec, spec.rates)
-    m_count = len(spec.rates)
-    runs = []
     # events go to disk batch by batch as each replication runs
-    events = _event_log(out / "events.csv", m_count) if spec.events else nullcontext()
-    with events as write:
-        for rep, scenario in enumerate(scenarios):
-            sink = partial(write, rep) if write is not None else None
-            runs.append(((rep,), run_simulation(scenario, on_events=sink)))
+    events = out / "events.csv" if spec.events else None
+    runs = [((rep,), metrics) for rep, metrics
+            in enumerate(_run_all(spec, [spec.rates], [spec.policy], events))]
     _write_runs(out, ["replication"], runs)
     _write_csv(
         out / "partition_trace.csv",
-        ["replication", "time"] + [f"y_{m}" for m in range(1, m_count + 1)],
+        ["replication", "time"] + [f"y_{m}" for m in range(1, len(spec.rates) + 1)],
         ((*key, *rec) for key, metrics in runs for rec in metrics.partition_trace),
     )
 
 
 def _mode_compare(spec: ExperimentSpec, out: Path) -> None:
-    # compare_policies returns the runs in the order of POLICIES
-    runs = [((rep, policy), metrics)
-            for rep, scenario in enumerate(_replications(spec, spec.rates))
-            for policy, metrics in zip(POLICIES, compare_policies(scenario))]
-    _write_runs(out, ["replication", "policy"], runs)
+    keys = product(range(spec.replications), POLICIES)
+    _write_runs(out, ["replication", "policy"],
+                list(zip(keys, _run_all(spec, [spec.rates], POLICIES, None))))
 
 
 def _mode_sweep(spec: ExperimentSpec, out: Path) -> None:
     _, _, rates = sweep_points(spec)
     _, report, _, _ = _analytic_point(spec, rates)
-    points = zip(markov.total_rate(rates).tolist(), rates.tolist(),
-                 report.per_class.tolist(), report.utilization.tolist())
+    points = zip(markov.total_rate(rates).tolist(), report.per_class.tolist(),
+                 report.utilization.tolist())
+    runs = zip(product(points, range(spec.replications)),
+               _run_all(spec, rates.tolist(), [spec.policy], None))
     blocking_rows, util_rows = [], []
-    for lam_t, point, analytic, analytic_util in points:
-        for rep, scenario in enumerate(_replications(spec, point)):
-            metrics = run_simulation(scenario)
-            blocking_rows += _class_rows((lam_t, rep), metrics.per_class_arrivals,
-                                         metrics.empirical_blocking, analytic)
-            util_rows.append((lam_t, rep, metrics.utilization, analytic_util))
+    for ((lam_t, analytic, analytic_util), rep), metrics in runs:
+        blocking_rows += _class_rows((lam_t, rep), metrics.per_class_arrivals,
+                                     metrics.empirical_blocking, analytic)
+        util_rows.append((lam_t, rep, metrics.utilization, analytic_util))
     _write_csv(
         out / "blocking.csv",
         ["lambda_T", "replication", "class", "arrivals", "empirical_blocking", "analytic_blocking"],
@@ -246,12 +253,30 @@ _MODE_RUNNERS = {
     "vlc-link": _mode_vlc_link,
 }
 
+# the CSVs each mode writes, by stem; simulate writes events only when asked
+_MODE_OUTPUTS = {
+    "analyze": {"blocking", "utilization", "partition_trace"},
+    "simulate": {"blocking", "utilization", "partition_trace", "events"},
+    "compare": {"blocking", "utilization"},
+    "sweep": {"blocking", "utilization"},
+    "vlc-link": {"link_budget", "color_bands"},
+}
+
 
 def run_experiment(spec: ExperimentSpec, mode: str, out_dir) -> None:
+    """Remove ``out_dir``'s manifest and run ``mode`` for ``spec`` into it.
+    On success, remove every CSV of an earlier run that this one did not
+    write over, then write the manifest last: a directory with a manifest
+    holds only the files of the run that wrote it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.txt"
+    manifest.unlink(missing_ok=True)
     _MODE_RUNNERS[mode](spec, out)
-    (out / "manifest.txt").write_text(render_manifest(spec, mode))
+    written = _MODE_OUTPUTS[mode] - (set() if spec.events else {"events"})
+    for stem in set().union(*_MODE_OUTPUTS.values()) - written:
+        (out / f"{stem}.csv").unlink(missing_ok=True)
+    manifest.write_text(render_manifest(spec, mode))
 
 
 def main(argv=None) -> int:

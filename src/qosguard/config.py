@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocator import (FieldError, SystemConfig, checked, field_errors, finite_non_negative,
-                        integer_at_least)
+                        integer_at_least, require)
 from .markov import total_rate
 from .simulate import SimScenario
 from .vlc import OpticalLinkParams
@@ -58,6 +58,7 @@ def _key(section, default=None, *, key=None, parse=None, check=None, rule=""):
 
 
 _RUN_FIELDS = {f.name: f for f in fields(SimScenario)}
+_MU_RULE = next(f.metadata for f in fields(SystemConfig) if f.name == "mu")
 
 
 def _run_key(name, section="simulation", **changes):
@@ -184,11 +185,16 @@ def parse_config(text: str) -> ExperimentSpec:
     system = values["config"]
     if system["mu"] is not None and holding is not None:
         errors.append("[system] mu and holding_time are mutually exclusive")
-    if holding is not None and not (math.isfinite(holding) and holding > 0):
-        errors.append("[system] holding_time: must be finite and > 0")
-        holding = None
+    elif holding is not None:
+        # the rate must pass mu's rule: 1/holding_time can overflow to inf
+        rate = 1.0 / holding if holding else math.inf
+        try:
+            require("mu", rate, **_MU_RULE)
+            system["mu"] = rate
+        except FieldError as exc:
+            errors.append(f"[system] holding_time: 1/holding_time {exc.rule}, got {holding!r}")
     if system["mu"] is None:
-        system["mu"] = 1.0 / (DEFAULT_HOLDING_TIME if holding is None else holding)
+        system["mu"] = 1.0 / DEFAULT_HOLDING_TIME
 
     for owner, cls in (("config", SystemConfig), ("vlc", OpticalLinkParams)):
         try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import SystemConfig, integer_at_least, require
+from .allocator import SYSTEM_CONFIG, SystemConfig, integer_at_least, require
 
 # points solved together. At N=1000, Gamma=100 a block's logw is 125 KiB, its
 # other temporaries at most Gamma+1 wide (12 KiB); the 1000-point sweep peaks
@@ -39,6 +39,7 @@ class BlockingReport:
 
 def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
     """The checked grid, and log((k+1)*mu) for k = 0..N-1."""
+    require("config", config, **SYSTEM_CONFIG)
     # a bool in a list becomes an int in the array; an int array holds none
     if not isinstance(limits, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(limits, dtype=object).flat):

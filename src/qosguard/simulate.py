@@ -29,12 +29,12 @@ import math
 from bisect import bisect_left
 from operator import attrgetter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import (RATE_VECTOR, SystemConfig, checked, compute_partition, field_errors,
-                        guard_floors, integer_at_least)
+from .allocator import (RATE_VECTOR, SYSTEM_CONFIG, SystemConfig, checked, compute_partition,
+                        field_errors, guard_floors, integer_at_least)
 from .admission import Admission
 from .traffic import ArrivalWindow
 
@@ -60,7 +60,7 @@ _EVENT_KINDS = (("arrival", "accept"), ("arrival", "block"), ("departure", "rele
 
 @dataclass(frozen=True)
 class SimScenario:
-    config: SystemConfig
+    config: SystemConfig = checked(**SYSTEM_CONFIG)
     # per-class arrival rates, class 1 first
     rates: tuple[float, ...] = checked(**RATE_VECTOR)
     # total arrivals simulated (all classes)
@@ -350,11 +350,3 @@ def run_simulation(
         partition_trace=partition_trace,
         estimator_trace=estimator_trace,
     )
-
-
-def compare_policies(scenario: SimScenario) -> tuple[SimMetrics, SimMetrics]:
-    """Run dynamic reservation and complete sharing on identical random
-    draws; the two runs' metrics, in the order of ``POLICIES``."""
-    dyn = run_simulation(replace(scenario, policy=POLICY_DYNAMIC))
-    share = run_simulation(replace(scenario, policy=POLICY_SHARING))
-    return dyn, share

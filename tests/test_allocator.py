@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import guard_floors_reference, reserved_shares
 from qosguard.allocator import FieldError, SystemConfig, compute_partition, partitions
+from qosguard.markov import blocking_probabilities, steady_state
+from qosguard.simulate import SimScenario
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -230,3 +232,30 @@ class TestSystemConfig:
     def test_numpy_integers_accepted(self):
         config = SystemConfig(np.int64(10), np.int32(2), 1.0, np.int64(100))
         assert compute_partition(config, (1.0, 1.0)).limits == (10, 9)
+
+
+# a config that is not a SystemConfig, and each kind of bad rate grid:
+# (function, arguments, the argument that is bad)
+BAD_ARGUMENTS = [
+    (SimScenario, ("x", (1.0,)), "config"),
+    (compute_partition, ("x", (1.0,)), "config"),
+    (partitions, ("x", np.array([[1.0]])), "config"),
+    (steady_state, ("x", [[5]], [[1.0]]), "config"),
+    (blocking_probabilities, ("x", [[5]], [[1.0]]), "config"),
+    (partitions, (CFG, np.array([[1.0, -1.0]])), "rates"),
+    (partitions, (CFG, np.array([[1.0, math.nan]])), "rates"),
+    (partitions, (CFG, np.array([[1.0, math.inf]])), "rates"),
+    (partitions, (CFG, np.array([[1e308, 1e308]])), "rates"),
+    (partitions, (CFG, np.array([1.0, 1.0])), "rates"),
+    (partitions, (CFG, "x"), "rates"),
+]
+
+
+@pytest.mark.parametrize("function,args,name", BAD_ARGUMENTS,
+                         ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_bad_argument_is_field_error(function, args, name):
+    # a FieldError is a ValueError; no AttributeError, and no result built
+    # from a row that fails the floor rule's conditions
+    with pytest.raises(FieldError) as exc:
+        function(*args)
+    assert exc.value.name == name

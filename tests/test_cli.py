@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,6 +47,8 @@ events = true
 BAD_FIELDS = [
     ("analyze", "[system]\nholding_time = 0", [], "[system] holding_time"),
     ("analyze", "[system]\nholding_time = inf", [], "[system] holding_time"),
+    # finite and > 0, but 1/holding_time overflows to inf
+    ("analyze", "[system]\nholding_time = 1e-320", [], "[system] holding_time"),
     ("analyze", "[system]\nmu = 0", [], "[system] mu"),
     ("analyze", "[system]\nmu = inf", [], "[system] mu"),
     ("simulate", "[system]\nmu = nan", [], "[system] mu"),
@@ -289,14 +292,15 @@ class TestCliModes:
         assert f"[{section}] {key}: {rule}, got {k.parse(raw)!r}" in capsys.readouterr().err
 
     def test_compare_records_no_events(self, tmp_path, monkeypatch):
-        results = []
-        compare_policies = cli.compare_policies
+        results, sinks = [], []
+        run_simulation = cli.run_simulation
 
-        def spy(scenario):
-            results.extend(compare_policies(scenario))
-            return results[-2:]
+        def spy(scenario, on_events):
+            sinks.append(on_events)
+            results.append(run_simulation(scenario, on_events=on_events))
+            return results[-1]
 
-        monkeypatch.setattr(cli, "compare_policies", spy)
+        monkeypatch.setattr(cli, "run_simulation", spy)
         cfg = tmp_path / "sim.ini"
         cfg.write_text(
             "[traffic]\nrates = 0.3,0.3\n[simulation]\narrivals = 2000\nevents = true\n"
@@ -305,7 +309,28 @@ class TestCliModes:
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         assert not (out / "events.csv").exists()
         assert len(results) == 2
+        assert sinks == [None, None]
         assert all(metrics.events is None for metrics in results)
+
+    def test_sweep_frees_each_run_before_the_next(self, tmp_path, monkeypatch):
+        # each run keeps its traces, so a sweep that held every run's
+        # metrics would grow with its points: when a run starts, no run
+        # before the last one may still be alive
+        run_simulation, runs, alive = cli.run_simulation, [], []
+
+        def spy(scenario, on_events=None):
+            alive.append(sum(ref() is not None for ref in runs))
+            metrics = run_simulation(scenario, on_events=on_events)
+            runs.append(weakref.ref(metrics))
+            return metrics
+
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[traffic]\nratio = 1, 1\n[sweep]\nlambda_total = 0.2, 0.4, 0.6\n"
+                       "[simulation]\narrivals = 2000\nreplications = 2\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(alive) == 6
+        assert max(alive) <= 1
 
     def test_runtime_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         # one 0.0 arrival gap repeats an arrival time, which the window
@@ -332,6 +357,37 @@ class TestCliModes:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "vlc.ini"
+        cfg.write_text("")
+        assert main(["vlc-link", "--config", str(cfg), "--out", str(out)]) == 0
+        # the one class's arrival times overflow to inf inside the first block
+        cfg.write_text("[traffic]\nrates = 1e-307\n[simulation]\narrivals = 3000\nevents = true\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not (out / "manifest.txt").exists()
+        assert read_csv(out / "events.csv") == [
+            ["replication", "time", "kind", "class", "decision", "occupied_after"]]
+
+    def test_rerun_without_events_removes_the_old_event_log(self, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(SIM_INI.replace("events = true", "events = false"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
+        assert not (out / "events.csv").exists()
+        assert "simulation.events=False" in (out / "manifest.txt").read_text()
+
+    def test_vlc_link_rerun_leaves_only_its_outputs(self, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_INI)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["vlc-link", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "color_bands.csv", "link_budget.csv", "manifest.txt"]
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.ini")]) == 2

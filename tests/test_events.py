@@ -85,7 +85,8 @@ def run_main(argv) -> int:
 def held_events(cfg):
     """Each replication's whole event log, collected by an ``EventLog`` sink."""
     spec = parse_config(cfg.read_text())
-    return [run_logged(scenario).events for scenario in cli._replications(spec, spec.rates)]
+    return [run_logged(scenario).events
+            for scenario in cli._scenarios(spec, [spec.rates], [spec.policy])]
 
 
 @BLOCK_SIZES
@@ -117,7 +118,7 @@ def test_forked_writer_matches_in_process_writer(tmp_path, monkeypatch, name, bl
 @pytest.mark.parametrize("policy", ["dynamic", "sharing"])
 def test_batches_concatenate_to_held_events(tmp_path, arrivals, policy):
     spec = parse_config(write_config(tmp_path, arrivals=arrivals, policy=policy).read_text())
-    (scenario,) = cli._replications(spec, spec.rates)
+    (scenario,) = cli._scenarios(spec, [spec.rates], [spec.policy])
     log, batches = EventLog(len(scenario.rates)), []
 
     def sink(*batch):

@@ -16,7 +16,7 @@ from qosguard import simulate
 from qosguard.admission import Admission, search_slots
 from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
-from qosguard.simulate import SimScenario, compare_policies, run_simulation
+from qosguard.simulate import SimScenario, run_simulation
 from qosguard.traffic import ArrivalWindow
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 50)
@@ -706,7 +706,7 @@ class TestComparePolicies:
         # 3:4:2:1 ratio at heavy load
         rates = (9.0, 12.0, 6.0, 3.0)
         sc = SimScenario(config=cfg, rates=rates, arrivals=300_000, seed=5)
-        dyn, share = compare_policies(sc)
+        dyn, share = (run_simulation(replace(sc, policy=p)) for p in ("dynamic", "sharing"))
         assert dyn.empirical_blocking[0] < share.empirical_blocking[0]
         assert dyn.empirical_blocking[3] > share.empirical_blocking[3]
 
@@ -714,7 +714,7 @@ class TestComparePolicies:
         cfg = SystemConfig(20, 4, 1.0, 50)
         rates = (1.0, 1.0, 1.0, 1.0)
         sc = SimScenario(config=cfg, rates=rates, arrivals=200_000, seed=5)
-        dyn, share = compare_policies(sc)
+        dyn, share = (run_simulation(replace(sc, policy=p)) for p in ("dynamic", "sharing"))
         assert abs(dyn.utilization - share.utilization) < 0.01
 
 
