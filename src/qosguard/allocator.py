@@ -130,6 +130,10 @@ def _rate_grid(rates) -> bool:
         return bool(np.isfinite(reduce(add, grid.T)).all())
 
 
+# the check and rule of a P x M rate grid, one rate vector per row
+RATE_GRID = dict(check=_rate_grid, rule="must be a 2-D grid, finite and >= 0 with finite row sums")
+
+
 @dataclass(frozen=True)
 class ChannelPartition:
     guard_access: tuple[int, ...]   # y_m, guard channels reachable by class m
@@ -170,8 +174,7 @@ def partitions(config: SystemConfig, rates) -> tuple[np.ndarray, np.ndarray]:
     of every row of a P x M rate grid, as two P x M int arrays. The grid's
     entries must be finite and >= 0, with finite row sums."""
     require("config", config, **SYSTEM_CONFIG)
-    require("rates", rates, check=_rate_grid,
-            rule="must be a 2-D grid, finite and >= 0 with finite row sums")
+    require("rates", rates, **RATE_GRID)
     access = guard_floors(config, np.asarray(rates, dtype=float))
     return access, access + (config.n_channels - config.guard)
 

@@ -253,29 +253,21 @@ _MODE_RUNNERS = {
     "vlc-link": _mode_vlc_link,
 }
 
-# the CSVs each mode writes, by stem; simulate writes events only when asked
-_MODE_OUTPUTS = {
-    "analyze": {"blocking", "utilization", "partition_trace"},
-    "simulate": {"blocking", "utilization", "partition_trace", "events"},
-    "compare": {"blocking", "utilization"},
-    "sweep": {"blocking", "utilization"},
-    "vlc-link": {"link_budget", "color_bands"},
-}
+# every CSV a mode may write, by stem
+_OUTPUTS = ("blocking", "utilization", "partition_trace", "events", "link_budget", "color_bands")
 
 
 def run_experiment(spec: ExperimentSpec, mode: str, out_dir) -> None:
-    """Remove ``out_dir``'s manifest and run ``mode`` for ``spec`` into it.
-    On success, remove every CSV of an earlier run that this one did not
-    write over, then write the manifest last: a directory with a manifest
-    holds only the files of the run that wrote it."""
+    """Remove ``out_dir``'s manifest and every qosguard CSV in it, run
+    ``mode`` for ``spec`` into it and write the manifest last: a directory
+    with a manifest holds only the files of the run that wrote it, and a
+    failed run leaves only its own partial files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.txt"
-    manifest.unlink(missing_ok=True)
+    for path in (manifest, *(out / f"{stem}.csv" for stem in _OUTPUTS)):
+        path.unlink(missing_ok=True)
     _MODE_RUNNERS[mode](spec, out)
-    written = _MODE_OUTPUTS[mode] - (set() if spec.events else {"events"})
-    for stem in set().union(*_MODE_OUTPUTS.values()) - written:
-        (out / f"{stem}.csv").unlink(missing_ok=True)
     manifest.write_text(render_manifest(spec, mode))
 
 

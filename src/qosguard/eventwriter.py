@@ -2,68 +2,50 @@
 formats and writes the event batches a run sends it down a pipe, so that
 on a machine with two cores the writing overlaps the run.
 
-Each batch goes down the pipe as raw bytes: a head of two int64 values
-(the replication and the row count), then the time, code and occupancy
-columns; the writer reads each part whole with one buffered ``readinto``.
-The CLI imports this module only for a run that writes events.
+Each batch goes down the pipe as one pickle (protocol 5) of the
+replication and the batch's columns, and the writer loads one pickle at a
+time from the buffered pipe. The stream may end only between two batches:
+the writer raises ``pickle.UnpicklingError`` for a batch cut short. The
+CLI imports this module only for a run that writes events.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import pickle
 from contextlib import contextmanager
 
-import numpy as np
 
-# the type of a batch's head, and of its time, code and occupancy columns
-_BATCH_HEAD = np.int64
-_COLUMNS = (np.float64, np.intp, np.intp)
-
-
-def _send(fd: int, column) -> None:
-    """Write the bytes of numpy array ``column`` to ``fd``, looping on
-    partial writes."""
-    view = memoryview(column).cast("B")
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to ``fd``, looping on partial writes."""
+    view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
 
 
 def _send_batch(fd: int, rep: int, *batch) -> None:
     """Send replication ``rep``'s event batch (``run_simulation``'s three
-    columns) down pipe ``fd``: its head, then each column's bytes."""
-    _send(fd, np.array((rep, len(batch[0])), dtype=_BATCH_HEAD))
-    for column, dtype in zip(batch, _COLUMNS):
-        _send(fd, np.ascontiguousarray(column, dtype))
-
-
-def _read_exactly(pipe, buffer) -> bool:
-    """Fill ``buffer`` from the buffered ``pipe``, whose ``readinto`` reads
-    until the buffer is full or the stream ends; False at the end of the
-    stream before its first byte, an ``EOFError`` inside it."""
-    view = memoryview(buffer).cast("B")
-    got = pipe.readinto(view)
-    if got < len(view):
-        if got:
-            raise EOFError(f"event batch cut after {got} of {len(view)} bytes")
-        return False
-    return True
+    columns) down pipe ``fd`` as one pickle. Protocol 5 pickles each numpy
+    column's buffer as it is; protocol 4, the default on Python 3.10-3.13,
+    copies it through ``tobytes`` first."""
+    _send(fd, pickle.dumps((rep, *batch), protocol=5))
 
 
 def _write_batches(fd: int, write) -> None:
-    """The writer process's work: read each event batch from pipe ``fd``,
-    buffered, into arrays sized by the batch and pass it to
-    ``write(rep, time, code, occupied)``, until the pipe's write end is
-    closed; a cut batch raises ``EOFError``."""
-    head = np.empty(2, dtype=_BATCH_HEAD)
+    """The writer process's work: load each event batch from pipe ``fd``,
+    buffered, and pass it to ``write(rep, time, code, occupied)``, until
+    the pipe's write end is closed. The stream must end before a batch's
+    first byte; a batch cut short raises ``pickle.UnpicklingError``."""
     with open(fd, "rb") as pipe:
-        while _read_exactly(pipe, head):
-            rep, rows = head.tolist()
-            columns = [np.empty(rows, dtype=dtype) for dtype in _COLUMNS]
-            for column in columns:
-                if not _read_exactly(pipe, column):
-                    raise EOFError(f"event batch of {rows} rows cut after its head")
-            write(rep, *columns)
+        while pipe.peek(1):     # b"" only at the end of the stream
+            # pickle.load runs what its input names, which is safe here:
+            # the parent made this pipe before the fork and only it writes
+            try:
+                batch = pickle.load(pipe)
+            except EOFError:    # a cut at one of the pickle's opcode boundaries
+                raise pickle.UnpicklingError("event batch cut short") from None
+            write(*batch)
 
 
 def _fork_writer(fh, write) -> tuple[int, int, int]:

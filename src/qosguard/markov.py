@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import SYSTEM_CONFIG, SystemConfig, integer_at_least, require
+from .allocator import RATE_GRID, SYSTEM_CONFIG, SystemConfig, integer_at_least, require
 
 # points solved together. At N=1000, Gamma=100 a block's logw is 125 KiB, its
 # other temporaries at most Gamma+1 wide (12 KiB); the 1000-point sweep peaks
@@ -53,8 +53,7 @@ def _as_grid(config: SystemConfig, limits, rates) -> tuple[np.ndarray, ...]:
     n = config.n_channels
     if limits.min(initial=0) < 0 or limits.max(initial=0) > n:
         raise ValueError(f"limits must lie in 0..{n}")
-    if not (np.isfinite(rates) & (rates >= 0)).all():
-        raise ValueError("rates must be finite and >= 0")
+    require("rates", rates, **RATE_GRID)
     return limits.astype(np.intp, copy=False), rates, np.log(np.arange(1, n + 1) * config.mu)
 
 

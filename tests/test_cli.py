@@ -369,6 +369,8 @@ class TestCliModes:
         assert not (out / "manifest.txt").exists()
         assert read_csv(out / "events.csv") == [
             ["replication", "time", "kind", "class", "decision", "occupied_after"]]
+        # the vlc-link run's tables went before the failed run started
+        assert [path.name for path in out.iterdir()] == ["events.csv"]
 
     def test_rerun_without_events_removes_the_old_event_log(self, tmp_path):
         cfg = tmp_path / "sim.ini"

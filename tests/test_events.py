@@ -1,8 +1,8 @@
 """The streamed event log: `simulate` writes `events.csv` batch by batch
 while each replication runs, from a forked writer process where `os.fork`
 exists. These tests check the batches against the event log of the plain
-reference loop, the file against a plain `csv.writer` reference and the
-forked writer against the in-process one, the memory a run holds against
+reference loop, the files of the forked writer and of the in-process one
+against a plain `csv.writer` reference, the memory a run holds against
 its length, and the failure paths, after which no process may be left.
 """
 
@@ -92,26 +92,18 @@ def held_events(cfg):
 @BLOCK_SIZES
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_events_csv_matches_reference_writer(tmp_path, monkeypatch, name, block):
+    # the forked writer's file where os.fork exists, then the in-process one
     monkeypatch.setattr(simulate, "_BLOCK", block)
     cfg = write_config(tmp_path, *CONFIGS[name])
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     reference = tmp_path / "reference.csv"
     write_events_reference(reference, held_events(cfg))
-    assert (out / "events.csv").read_bytes() == reference.read_bytes()
-
-
-@needs_fork
-@BLOCK_SIZES
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_forked_writer_matches_in_process_writer(tmp_path, monkeypatch, name, block):
-    monkeypatch.setattr(simulate, "_BLOCK", block)
-    cfg = write_config(tmp_path, *CONFIGS[name])
-    forked, in_process = tmp_path / "forked", tmp_path / "in-process"
-    assert run_main(["simulate", "--config", str(cfg), "--out", str(forked)]) == 0
-    monkeypatch.delattr(os, "fork")
-    assert run_main(["simulate", "--config", str(cfg), "--out", str(in_process)]) == 0
-    assert (forked / "events.csv").read_bytes() == (in_process / "events.csv").read_bytes()
+    writers = ["forked", "in-process"] if hasattr(os, "fork") else ["in-process"]
+    for writer in writers:
+        if writer == "in-process":
+            monkeypatch.delattr(os, "fork", raising=False)
+        out = tmp_path / writer
+        assert run_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "events.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("arrivals", [700, 9001])

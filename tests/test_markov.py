@@ -167,8 +167,17 @@ class TestBlockingProbabilities:
     def test_negative_or_non_finite_rate_rejected(self, bad):
         cfg = SystemConfig(4, 1, 1.0, 10)
         for solve in (steady_state, blocking_probabilities):
-            with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+            with pytest.raises(FieldError, match=r"^rates: must be a 2-D grid, finite and >= 0"):
                 solve(cfg, [[4, 3], [4, 4]], [[1.0, 1.0], [1.0, bad]])
+
+    def test_rates_whose_sum_overflows_rejected(self):
+        # unchecked, the total rate 2e308 is inf, and every result nan
+        cfg = SystemConfig(10, 2, 1.0, 10)
+        for solve in (steady_state, blocking_probabilities):
+            with pytest.raises(FieldError, match=r"^rates: .* with finite row sums"):
+                solve(cfg, [[10, 10]], [[1e308, 1e308]])
+        with pytest.raises(FieldError, match=r"^rates: .* with a finite sum"):
+            compute_partition(cfg, (1e308, 1e308))
 
     @pytest.mark.parametrize("limits", [[[3.7, 4]], [[4.0, 3.0]], [[np.nan, 4]]],
                              ids=["3.7", "4.0", "nan"])
