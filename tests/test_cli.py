@@ -372,6 +372,21 @@ class TestCliModes:
         # the vlc-link run's tables went before the failed run started
         assert [path.name for path in out.iterdir()] == ["events.csv"]
 
+    @pytest.mark.parametrize("name", [
+        "manifest.txt", "blocking.csv", "utilization.csv", "partition_trace.csv",
+        "events.csv", "link_budget.csv", "color_bands.csv"])
+    def test_failed_run_removes_a_stale_output_and_keeps_other_files(self, tmp_path, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("stale")
+        (out / "notes.txt").write_text("not a qosguard output")
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[traffic]\nrates = 1e-307\n[simulation]\narrivals = 3000\nevents = true\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(path.name for path in out.iterdir()) == ["events.csv", "notes.txt"]
+        assert (out / "events.csv").read_text() != "stale"
+        assert (out / "notes.txt").read_text() == "not a qosguard output"
+
     def test_rerun_without_events_removes_the_old_event_log(self, tmp_path):
         cfg = tmp_path / "sim.ini"
         cfg.write_text(SIM_INI)
