@@ -55,22 +55,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _event_sink(fh, m_count: int):
     """The function ``write(rep, time, code, occupied)`` that writes each
-    event batch of replication ``rep`` to ``fh`` as ``_write_csv`` would, by
-    one ``%`` over a format that joins a text per event, by (code, occupancy)
-    and built once for each occupancy the run reaches, with a ``%.9g`` time."""
-    fields = event_fields(m_count)
-    texts = np.empty((len(fields), 0), dtype=object)
-
-    def write(rep, time, code, occupied):
-        nonlocal texts
-        if (reached := int(occupied.max()) + 1) > texts.shape[1]:
-            texts = np.array([[f"%.9g,{kind},{m},{decision},{held}\r\n"
-                               for held in range(max(reached, 2 * texts.shape[1]))]
-                              for kind, m, decision in fields], dtype=object)
-        lines = f"{rep}," + f"{rep},".join(texts[code, occupied].tolist())
-        fh.write(lines % tuple(time.tolist()))
-
-    return write
+    event batch of replication ``rep`` to the binary file ``fh`` as
+    ``_write_csv`` would write its lines (``eventwriter.event_sink``)."""
+    # imported here: a run that writes no events need not load it
+    from .eventwriter import event_sink
+    return event_sink(fh, event_fields(m_count))
 
 
 @contextmanager
@@ -82,13 +71,12 @@ def _event_log(path: Path, m_count: int):
     (``eventwriter.forked_writer``); otherwise ``_event_sink`` writes it
     here. The file holds the same bytes either way, and it is opened here,
     so a path that cannot be written fails before any fork."""
-    with path.open("w", newline="") as fh:
-        fh.write("replication,time,kind,class,decision,occupied_after\r\n")
+    with path.open("wb") as fh:
+        fh.write(b"replication,time,kind,class,decision,occupied_after\r\n")
         write = _event_sink(fh, m_count)
         if not hasattr(os, "fork"):
             yield write
             return
-        # imported here: a run that writes no events need not load it
         from .eventwriter import forked_writer
         with forked_writer(fh, write) as send:
             yield send
