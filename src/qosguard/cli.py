@@ -7,10 +7,9 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from functools import partial
 from itertools import chain, islice, product
@@ -51,35 +50,6 @@ def _write_csv(path: Path, header, rows) -> None:
                 "%.9g" if isinstance(v, float) else "%s" for v in first
             ) + "\r\n"
             _write_rows(fh.write, row_format, chain((first,), rows))
-
-
-def _event_sink(fh, m_count: int):
-    """The function ``write(rep, time, code, occupied)`` that writes each
-    event batch of replication ``rep`` to the binary file ``fh`` as
-    ``_write_csv`` would write its lines (``eventwriter.event_sink``)."""
-    # imported here: a run that writes no events need not load it
-    from .eventwriter import event_sink
-    return event_sink(fh, event_fields(m_count))
-
-
-@contextmanager
-def _event_log(path: Path, m_count: int):
-    """Open ``path``, write the event log's header and yield the function
-    ``write(rep, time, code, occupied)`` that logs replication ``rep``'s
-    event batch. Where ``os.fork`` exists, it sends the batch to a writer
-    process that writes it with ``_event_sink`` while this one simulates
-    (``eventwriter.forked_writer``); otherwise ``_event_sink`` writes it
-    here. The file holds the same bytes either way, and it is opened here,
-    so a path that cannot be written fails before any fork."""
-    with path.open("wb") as fh:
-        fh.write(b"replication,time,kind,class,decision,occupied_after\r\n")
-        write = _event_sink(fh, m_count)
-        if not hasattr(os, "fork"):
-            yield write
-            return
-        from .eventwriter import forked_writer
-        with forked_writer(fh, write) as send:
-            yield send
 
 
 def _analytic_point(spec, rates):
@@ -150,7 +120,11 @@ def _run_all(spec: ExperimentSpec, points, policies, events) -> Iterator[SimMetr
     r's events are logged as replication r's, which run r is at one rate
     vector and one policy."""
     scenarios = _scenarios(spec, points, policies)
-    log = nullcontext() if events is None else _event_log(events, len(scenarios[0].rates))
+    log = nullcontext()
+    if events is not None:
+        # imported here: a run that writes no events need not load it
+        from .eventwriter import event_log
+        log = event_log(events, event_fields(len(scenarios[0].rates)))
     with log as write:
         for rep, scenario in enumerate(scenarios):
             yield run_simulation(scenario, on_events=None if write is None else partial(write, rep))

@@ -1,7 +1,9 @@
-"""The event log's writer: ``event_sink`` formats each event batch a run
-sends, and ``forked_writer`` forks a process that writes the batches a run
-sends it down a pipe, so that on a machine with two cores the writing
-overlaps the run.
+"""The event log, ``events.csv``: ``event_log`` opens it, writes its header
+and yields the function that logs each event batch a run sends.
+``event_sink`` formats the batches, and ``forked_writer`` forks a process
+that writes the batches a run sends it down a pipe, so that on a machine
+with two cores the writing overlaps the run. The writer process starts on
+a CPU other than the run's where the platform lets a process choose.
 
 Of each event's line only the time is formatted per line; the rest comes
 whole from a table. ``event_sink`` writes a batch's times in [1, 1e8) as
@@ -208,13 +210,43 @@ def _write_batches(fd: int, write) -> None:
             write(*batch)
 
 
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on, from ``/proc/self/stat``'s
+    processor field, or None where that file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # fields 3 on follow the bracketed command name, which may hold
+            # spaces; the processor is field 39
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Move this process off ``cpu`` where the platform lets a process set
+    its own CPUs and another one is allowed, then allow it all of them
+    again: the kernel leaves a process where it moved it, and a writer left
+    on the run's CPU would take turns with the run. Placement never fails a
+    run, so an ``OSError`` leaves the process where it is."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        if others := allowed - {cpu}:
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
 def _fork_writer(fh, write) -> tuple[int, int, int]:
-    """Fork a process that passes the event batches sent to it to
-    ``write`` (``_write_batches``), then closes ``fh``; return its pid,
-    the write end of the pipe that takes the batches and the read end of
-    the one that brings back its error text. The process always ends in
-    ``os._exit``: 0 once the batch pipe is closed and ``fh`` is written,
-    1 after any exception."""
+    """Fork a process that moves off the CPU this one runs on
+    (``_leave_cpu``), passes the event batches sent to it to ``write``
+    (``_write_batches``), then closes ``fh``; return its pid, the write end
+    of the pipe that takes the batches and the read end of the one that
+    brings back its error text. The process always ends in ``os._exit``: 0
+    once the batch pipe is closed and ``fh`` is written, 1 after any
+    exception."""
     batches_r, batches_w = os.pipe()
     errors_r, errors_w = os.pipe()
     import fcntl                # POSIX only, as os.fork is
@@ -223,6 +255,7 @@ def _fork_writer(fh, write) -> tuple[int, int, int]:
             fcntl.fcntl(batches_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except OSError:         # over the system's limit: the default size works
             pass
+    cpu = _current_cpu()
     try:
         pid = os.fork()
     except OSError:
@@ -234,6 +267,7 @@ def _fork_writer(fh, write) -> tuple[int, int, int]:
         try:
             os.close(batches_w)
             os.close(errors_r)
+            _leave_cpu(cpu)
             _write_batches(batches_r, write)
             fh.close()
             status = 0
@@ -274,3 +308,23 @@ def forked_writer(fh, write):
     if broken or status:
         raise OSError(f"cannot write {fh.name}: the event writer failed "
                       f"(exit status {status}): {text or 'no error text'}")
+
+
+@contextmanager
+def event_log(path, fields):
+    """Open the file ``path`` (a ``pathlib.Path``), write the event log's
+    header and yield the function ``write(rep, time, code, occupied)`` that
+    logs replication ``rep``'s event batch; ``fields[code]`` is the code's
+    (kind, class, decision). Where ``os.fork`` exists, it sends the batch to
+    a writer process that writes it with ``event_sink`` while this one
+    simulates (``forked_writer``); otherwise ``event_sink`` writes it here.
+    The file holds the same bytes either way, and it is opened here, so a
+    path that cannot be written fails before any fork."""
+    with path.open("wb") as fh:
+        fh.write(b"replication,time,kind,class,decision,occupied_after\r\n")
+        write = event_sink(fh, fields)
+        if not hasattr(os, "fork"):
+            yield write
+            return
+        with forked_writer(fh, write) as send:
+            yield send

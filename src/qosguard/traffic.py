@@ -38,9 +38,11 @@ class ArrivalWindow:
         self._records = 0
 
     def record_arrivals(self, times) -> np.ndarray:
-        """Record arrivals at ``times``, strictly increasing and after the
-        last recorded arrival, and return the rate estimate after each one:
-        nan after the first arrival ever, which defines no gap."""
+        """Record arrivals at ``times``, finite, strictly increasing and
+        after the last recorded arrival, and return the rate estimate after
+        each one: nan after the first arrival ever, which defines no gap."""
+        require("times", times, check=lambda v: np.ndim(v) == 1 and np.isfinite(v).all(),
+                rule="must be a 1-D sequence of finite times")
         times = np.asarray(times, dtype=float)
         count = len(times)
         if not count:

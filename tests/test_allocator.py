@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oracles import guard_floors_reference, reserved_shares
 from qosguard.allocator import FieldError, SystemConfig, compute_partition, partitions
 from qosguard.markov import blocking_probabilities, steady_state
-from qosguard.simulate import SimScenario
+from qosguard.simulate import SimScenario, run_simulation
+from qosguard.traffic import ArrivalWindow
 
 CFG = SystemConfig(n_channels=100, guard=10, mu=1 / 120, window_n=100)
 
@@ -234,8 +235,9 @@ class TestSystemConfig:
         assert compute_partition(config, (1.0, 1.0)).limits == (10, 9)
 
 
-# a config that is not a SystemConfig, and each kind of bad rate grid:
-# (function, arguments, the argument that is bad)
+# a config that is not a SystemConfig, each kind of bad rate grid, arrival
+# times a fresh window cannot record and a scenario that is not a
+# SimScenario: (function, arguments, the argument that is bad)
 BAD_ARGUMENTS = [
     (SimScenario, ("x", (1.0,)), "config"),
     (compute_partition, ("x", (1.0,)), "config"),
@@ -248,6 +250,10 @@ BAD_ARGUMENTS = [
     (partitions, (CFG, np.array([[1e308, 1e308]])), "rates"),
     (partitions, (CFG, np.array([1.0, 1.0])), "rates"),
     (partitions, (CFG, "x"), "rates"),
+    (ArrivalWindow(1, 5).record_arrivals, ([math.nan],), "times"),
+    (ArrivalWindow(1, 5).record_arrivals, ([1.0, 2.0, math.inf],), "times"),
+    (ArrivalWindow(1, 5).record_arrivals, ([[1.0, 2.0]],), "times"),
+    (run_simulation, ("x",), "scenario"),
 ]
 
 

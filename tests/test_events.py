@@ -3,18 +3,21 @@ while each replication runs, from a forked writer process where `os.fork`
 exists. These tests check the batches against the event log of the plain
 reference loop, the files of the forked writer and of the in-process one
 against a plain `csv.writer` reference, the memory a run holds against
-its length, and the failure paths, after which no process may be left.
+its length, the failure paths, after which no process may be left, and
+the CPU the writer process starts on.
 """
 
+import json
 import os
 import pathlib
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oracles import EventLog, run_logged, run_simulation_reference, write_events_reference
-from qosguard import cli, simulate
+from qosguard import cli, eventwriter, simulate
 from qosguard.cli import main
 from qosguard.config import parse_config
 from qosguard.simulate import run_simulation
@@ -216,7 +219,7 @@ def test_writer_error_exits_3_with_its_text(tmp_path, monkeypatch, capsys):
     # the forked writer inherits the write the patched sink returns; the
     # run's one batch fits in the pipe, so only the writer's exit status
     # tells of the failure
-    monkeypatch.setattr(cli, "_event_sink", lambda fh, m_count: failing_write)
+    monkeypatch.setattr(eventwriter, "event_sink", lambda fh, fields: failing_write)
     _, err = writer_failure(tmp_path, capsys, arrivals=700)
     assert "RuntimeError: sink failed" in err
 
@@ -225,8 +228,60 @@ def test_writer_error_exits_3_with_its_text(tmp_path, monkeypatch, capsys):
 def test_writer_gone_at_first_batch_exits_3(tmp_path, monkeypatch, capsys):
     # the writer exits at its first batch without a word; the run's later
     # batches, far more than the pipe holds, meet a broken pipe
-    monkeypatch.setattr(cli, "_event_sink", lambda fh, m_count: lambda *batch: os._exit(5))
+    monkeypatch.setattr(eventwriter, "event_sink", lambda fh, fields: lambda *batch: os._exit(5))
     out, err = writer_failure(tmp_path, capsys, arrivals=20_000)
     assert "exit status 5" in err
     assert (out / "events.csv").read_text() == (
         "replication,time,kind,class,decision,occupied_after\n")
+
+
+# a process here can move itself to another CPU it is allowed
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a process cannot choose among two or more CPUs")
+
+
+@needs_fork
+@needs_two_cpus
+@pytest.mark.skipif(eventwriter._current_cpu() is None, reason="a process cannot read its CPU")
+def test_writer_starts_off_the_runs_cpu(tmp_path, monkeypatch):
+    # the forked writer inherits both recorders, and its one batch writes
+    # the CPU masks it set to the file
+    masks, cpus = [], []
+    set_affinity, current_cpu = os.sched_setaffinity, eventwriter._current_cpu
+
+    def record_mask(pid, mask):
+        masks.append(sorted(mask))
+        set_affinity(pid, mask)
+
+    def record_cpu():
+        cpus.append(current_cpu())
+        return cpus[-1]
+
+    allowed = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_setaffinity", record_mask)
+    monkeypatch.setattr(eventwriter, "_current_cpu", record_cpu)
+    path = tmp_path / "masks.json"
+
+    def write(*batch):
+        fh.write(json.dumps(masks).encode())
+
+    with path.open("wb") as fh, eventwriter.forked_writer(fh, write) as send:
+        send(0, np.ones(1), np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp))
+    (cpu,) = cpus                   # read here, before the fork
+    assert json.loads(path.read_text()) == [sorted(allowed - {cpu}), sorted(allowed)]
+    assert masks == []              # this process's CPUs are left as they are
+    assert os.sched_getaffinity(0) == allowed
+
+
+@needs_two_cpus
+def test_placement_error_is_ignored(monkeypatch):
+    refused = []
+
+    def refuse(pid, mask):
+        refused.append(mask)
+        raise PermissionError("not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    eventwriter._leave_cpu(min(os.sched_getaffinity(0)))
+    assert len(refused) == 1

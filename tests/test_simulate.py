@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from oracles import (admit_reference, block_events_reference, merge_reference, run_logged,
                      run_simulation_reference)
 from qosguard import simulate
-from qosguard.admission import Admission, search_slots
 from qosguard.allocator import FieldError, SystemConfig, compute_partition
 from qosguard.markov import blocking_probabilities, erlang_b
-from qosguard.simulate import SimScenario, run_simulation
+from qosguard.simulate import Admission, SimScenario, run_simulation, search_slots
 from qosguard.traffic import ArrivalWindow
 
 SMALL_CFG = SystemConfig(3, 1, 1.0, 50)

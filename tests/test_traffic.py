@@ -51,6 +51,15 @@ class TestArrivalWindow:
         assert list(w.gaps) == [1.0]
         assert w.last_arrival == 2.0
 
+    def test_non_finite_first_arrival_records_nothing(self):
+        # a nan stored as the last arrival would reject every later chunk
+        w = ArrivalWindow(1, capacity=3)
+        with pytest.raises(FieldError, match=r"^times: "):
+            w.record_arrivals([math.nan])
+        assert w.last_arrival is None
+        first, second = w.record_arrivals([1.0, 3.0])
+        assert math.isnan(first) and second == 0.5
+
     def test_estimate_equal_gaps(self):
         w = ArrivalWindow(1, capacity=10)
         for t in [0.0, 2.0, 4.0, 6.0, 8.0]:
